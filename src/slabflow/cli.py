@@ -155,26 +155,12 @@ def cmd_ellipticity(cfg: RunConfig, out: str) -> int:
 def cmd_dispersion(cfg: RunConfig, out: str, threads: int) -> int:
     density = cfg.density()
     n = cfg.grid.n
-    modes = [(0,) * n] + st.conjugacy_representatives(cfg.kmax, n)
-
-    def solve(kt):
-        sigma = 0.0 if all(c == 0 for c in kt) else \
-            se.hessian_symbol(density, cfg.gravity, kt, n=n)
-        spec = st.solve_spectrum(st.assemble_mode(kt, cfg.depth, sigma, cfg.grid.M_v))
-        lam2 = spec.eigenvalues[1] if spec.eigenvalues.size > 1 else complex("nan")
-        return spec.lambda_min, lam2
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(solve, modes))
-    else:
-        results = [solve(kt) for kt in modes]
+    modes, eigs = st.mode_sweep(density, cfg.gravity, cfg.depth, cfg.kmax, cfg.grid.M_v,
+                                n, threads)
     rows = []
-    for kt, (lam_min, lam2) in zip(modes, results):
-        kx = kt[0]
-        ky = kt[1] if n == 2 else 0
-        rows.append((kx, ky, lam_min, lam2.real, lam2.imag))
+    for kt, w in zip(modes, eigs):
+        lam2 = w[1] if w.size > 1 else complex("nan")
+        rows.append((kt[0], kt[1] if n == 2 else 0, w[0].real, lam2.real, lam2.imag))
     _write(os.path.join(out, "dispersion.csv"),
            _csv(["kx", "ky", "lambda_min", "re_lambda_2", "im_lambda_2"], rows))
     slowest = min(r[2] for r in rows)
@@ -230,6 +216,40 @@ def _plot_script(csv_name: str) -> str:
     )
 
 
+def _map_identities(eta: SpectralField, dom: FlattenedDomain):
+    """min J and the map-identity checks: A (grad Phi)^T = I, det grad Phi = J, Piola."""
+    gc = geo.geometric_coefficients(eta, dom)
+    GP = gc.grad_Phi.values
+    AgT = np.einsum("ik...,jk...->ij...", gc.A.values, GP)
+    eye = np.eye(dom.ncomp).reshape((dom.ncomp, dom.ncomp) + (1,) * (dom.n + 1))
+    det = np.linalg.det(np.moveaxis(GP, [0, 1], [-2, -1]))
+    return gc.min_j, [
+        ("A_gradPhiT_identity", float(np.max(np.abs(AgT - eye))), 1e-12),
+        ("det_gradPhi_vs_J", float(np.max(np.abs(det - gc.J.values))), 1e-12),
+        ("piola_residual", geo.piola_residual(eta, dom), 1e-8),
+    ]
+
+
+def _check_table(label: str, checks) -> int:
+    """Print (name, value, tolerance) rows and a pass count; returns the exit code.
+
+    A row passes when value <= tolerance; a row without tolerance is
+    informational and not counted.
+    """
+    width = max(len(name) for name, _, _ in checks)
+    gated = failed = 0
+    for name, value, tol in checks:
+        line = f"  {name:{width}s}  {value:.6e}"
+        if tol is not None:
+            ok = value <= tol
+            gated += 1
+            failed += 0 if ok else 1
+            line += f"  (tol {tol:g})  {'pass' if ok else 'FAIL'}"
+        print(line)
+    print(f"{label}: {gated - failed}/{gated} checks passed")
+    return EXIT_OK if failed == 0 else EXIT_NUMERIC
+
+
 def cmd_geometry_check(cfg: RunConfig, out: str) -> int:
     dom = _domain(cfg)
     grid = dom.horizontal
@@ -237,22 +257,11 @@ def cmd_geometry_check(cfg: RunConfig, out: str) -> int:
         eta = _field_from_modes(cfg.modes, grid)
     else:
         eta = SpectralField.from_modes(grid, {(1,) + (0,) * (grid.n - 1): 0.025})
-    checks = []
-    gc = geo.geometric_coefficients(eta, dom)
-    checks.append(("min_J", gc.min_j, None))
+    min_j, identities = _map_identities(eta, dom)
 
     # per-mode extension identity at |k| <= 1
     prof = np.exp(2 * np.pi * dom.x3)
     ident = np.max(np.abs(dom.D3 @ prof - 2 * np.pi * prof)) / np.max(np.abs(2 * np.pi * prof))
-    checks.append(("extension_identity_k1", ident, 1e-13))
-
-    GP = gc.grad_Phi.values
-    AgT = np.einsum("ik...,jk...->ij...", gc.A.values, GP)
-    eye = np.eye(dom.ncomp).reshape((dom.ncomp, dom.ncomp) + (1,) * (grid.n + 1))
-    checks.append(("A_gradPhiT_identity", float(np.max(np.abs(AgT - eye))), 1e-12))
-    det = np.linalg.det(np.moveaxis(GP, [0, 1], [-2, -1]))
-    checks.append(("det_gradPhi_vs_J", float(np.max(np.abs(det - gc.J.values))), 1e-12))
-    checks.append(("piola_residual", geo.piola_residual(eta, dom), 1e-8))
 
     rng = np.random.default_rng(cfg.seed)
     vv = np.zeros((dom.ncomp,) + grid.shape + (dom.M_v,))
@@ -260,18 +269,11 @@ def cmd_geometry_check(cfg: RunConfig, out: str) -> int:
         base = random_band_limited(grid, min(2, grid.N // 4), 0.5, rng).samples()
         vv[i] = (base[..., None] + 0.2) * np.exp(2.0 * dom.x3)
     v = geo.BulkField(dom, vv)
-    checks.append(("div_theorem_residual", geo.div_theorem_residual(v, eta, dom), 1e-8))
+    checks = [("min_J", min_j, None), ("extension_identity_k1", ident, 1e-13), *identities,
+              ("div_theorem_residual", geo.div_theorem_residual(v, eta, dom), 1e-8)]
 
     print(f"geometry-check on {grid.N}^{grid.n} x {dom.M_v} grid, depth {dom.b}")
-    failed = False
-    for name, value, tol in checks:
-        status = ""
-        if tol is not None:
-            ok = value <= tol
-            failed = failed or not ok
-            status = f"  [{'pass' if ok else 'FAIL'} <= {tol:g}]"
-        print(f"  {name:28s} {value:.6e}{status}")
-    return EXIT_NUMERIC if failed else EXIT_OK
+    return _check_table("geometry-check", checks)
 
 
 def _validation_suite(seed: int):
@@ -305,13 +307,7 @@ def _validation_suite(seed: int):
     out.append(("ellipticity_threshold", 0.0 if (ok_above and not ok_below) else 1.0, 0.5))
 
     dom = FlattenedDomain(b=1.0, horizontal=grid, M_v=16)
-    eta_s = SpectralField.from_modes(grid, {(1, 0): 0.02})
-    out.append(("piola_residual", geo.piola_residual(eta_s, dom), 1e-8))
-    gc = geo.geometric_coefficients(eta_s, dom)
-    GP = gc.grad_Phi.values
-    AgT = np.einsum("ik...,jk...->ij...", gc.A.values, GP)
-    eye = np.eye(3).reshape(3, 3, 1, 1, 1)
-    out.append(("A_gradPhiT_identity", float(np.max(np.abs(AgT - eye))), 1e-12))
+    out += _map_identities(SpectralField.from_modes(grid, {(1, 0): 0.02}), dom)[1]
 
     op = st.assemble_mode((1, 0), 1.0, se.hessian_symbol(dn.area(1.0), 1.0, (1, 0)), 16)
     spec = st.solve_spectrum(op)
@@ -338,15 +334,7 @@ def _validation_suite(seed: int):
 
 
 def cmd_validate(seed: int) -> int:
-    checks = _validation_suite(seed)
-    width = max(len(name) for name, _, _ in checks)
-    failed = 0
-    for name, value, tol in checks:
-        ok = value <= tol
-        failed += 0 if ok else 1
-        print(f"  {name:{width}s}  {value:.3e}  (tol {tol:g})  {'pass' if ok else 'FAIL'}")
-    print(f"validate: {len(checks) - failed}/{len(checks)} checks passed")
-    return EXIT_OK if failed == 0 else EXIT_NUMERIC
+    return _check_table("validate", _validation_suite(seed))
 
 
 # ---------------------------------------------------------------------------

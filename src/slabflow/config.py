@@ -108,7 +108,20 @@ class RunConfig:
         return densities._build_from_params(self.density_params, n=self.grid.n)
 
 
-def _parse_mode_list(raw, path: str, dim: int) -> tuple[ModeEntry, ...]:
+def _as_wavevector(raw, path: str, grid: GridSection) -> tuple[int, ...]:
+    """Integer wavevector with grid.n components inside the band -N/2 < k_i <= N/2."""
+    if isinstance(raw, int):
+        raw = [raw]
+    if not isinstance(raw, list) or len(raw) != grid.n:
+        raise ConfigError(f"{path}: expected {grid.n} integer components")
+    k = tuple(_as_int(c, path) for c in raw)
+    if any(not (-grid.N // 2 < c <= grid.N // 2) for c in k):
+        raise ConfigError(f"{path}: wavevector {list(k)} outside the grid band "
+                          f"-{grid.N // 2} < k_i <= {grid.N // 2}")
+    return k
+
+
+def _parse_mode_list(raw, path: str, grid: GridSection) -> tuple[ModeEntry, ...]:
     if raw is None:
         return ()
     if not isinstance(raw, list):
@@ -119,12 +132,7 @@ def _parse_mode_list(raw, path: str, dim: int) -> tuple[ModeEntry, ...]:
         if not isinstance(entry, dict):
             raise ConfigError(f"{p}: expected an object")
         entry = dict(entry)
-        kraw = _take(entry, p, "k", required=True)
-        if isinstance(kraw, int):
-            kraw = [kraw]
-        if not isinstance(kraw, list) or len(kraw) != dim:
-            raise ConfigError(f"{p}.k: expected {dim} integer components")
-        k = tuple(_as_int(c, f"{p}.k") for c in kraw)
+        k = _as_wavevector(_take(entry, p, "k", required=True), f"{p}.k", grid)
         eta = _as_complex(_take(entry, p, "eta", 0.0), f"{p}.eta")
         u = _as_complex(_take(entry, p, "u", 0.0), f"{p}.u")
         _no_leftovers(entry, p)
@@ -192,17 +200,13 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("time.scheme: must be 'crank-nicolson' or 'backward-euler'")
 
     idata = dict(_take(raw, "top level", "initial_data", {}) or {})
-    modes = _parse_mode_list(_take(idata, "initial_data", "modes", None), "initial_data.modes", grid.n)
+    modes = _parse_mode_list(_take(idata, "initial_data", "modes", None), "initial_data.modes", grid)
     eig = _take(idata, "initial_data", "eigenmode", None)
     if eig is not None:
         eig = dict(eig)
-        kraw = _take(eig, "initial_data.eigenmode", "k", required=True)
-        if isinstance(kraw, int):
-            kraw = [kraw]
-        if not isinstance(kraw, list) or len(kraw) != grid.n:
-            raise ConfigError("initial_data.eigenmode.k: wrong dimension")
         eig_parsed = {
-            "k": tuple(_as_int(c, "initial_data.eigenmode.k") for c in kraw),
+            "k": _as_wavevector(_take(eig, "initial_data.eigenmode", "k", required=True),
+                                "initial_data.eigenmode.k", grid),
             "amplitude": _as_float(
                 _take(eig, "initial_data.eigenmode", "amplitude", 1e-4),
                 "initial_data.eigenmode.amplitude"),
@@ -238,9 +242,9 @@ def parse_config(raw: dict) -> RunConfig:
 
     vsec = dict(_take(raw, "top level", "variations", {}) or {})
     var_eta = _parse_mode_list(_take(vsec, "variations", "eta_modes", None),
-                               "variations.eta_modes", grid.n)
+                               "variations.eta_modes", grid)
     var_phi = _parse_mode_list(_take(vsec, "variations", "phi_modes", None),
-                               "variations.phi_modes", grid.n)
+                               "variations.phi_modes", grid)
     _no_leftovers(vsec, "variations")
 
     _no_leftovers(raw, "top level")

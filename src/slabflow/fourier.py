@@ -10,13 +10,13 @@ nonlinearities of band-limited fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "TorusGrid",
     "SpectralField",
+    "hermitian_scatter",
     "dealiased_product",
     "sqrt_neg_laplacian",
     "random_band_limited",
@@ -73,51 +73,43 @@ class TorusGrid:
         return TorusGrid(self.n, M)
 
 
-@lru_cache(maxsize=None)
-def _transfer_matrices(N: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral embedding (N -> M) and truncation (M -> N) along one axis.
+def _resize(coeffs: np.ndarray, n: int, N: int, M: int) -> np.ndarray:
+    """Move coefficients on the first n axes from N onto M slots per axis.
 
-    The Nyquist mode k = N/2 of the coarse grid stands for the pair +-N/2;
+    Embedding (M > N) zero-pads; truncation (M < N) drops the outer band.
+    The Nyquist mode k = N/2 of the coarse grid stands for the pair +-N/2:
     embedding splits it evenly and truncation gathers both halves, so that
     real fields round-trip exactly.
     """
-    if M < N:
-        raise ValueError("padded size must not be smaller than source size")
-    ks = np.rint(np.fft.fftfreq(N, 1.0 / N)).astype(int)
-    P = np.zeros((M, N))
-    Q = np.zeros((N, M))
-    for j, k in enumerate(ks):
-        if abs(k) < N // 2:
-            P[k % M, j] = 1.0
-            Q[j, k % M] = 1.0
-        else:  # k == N/2
-            P[k % M, j] = 0.5
-            P[(-k) % M, j] = 0.5
-            Q[j, k % M] = 1.0
-            Q[j, (-k) % M] = 1.0
-    P.flags.writeable = False
-    Q.flags.writeable = False
-    return P, Q
-
-
-def _apply_axes(mat: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
+    if M == N:
+        return coeffs.copy()
+    h = min(N, M) // 2
     out = coeffs
     for axis in range(n):
-        out = np.tensordot(mat, out, axes=([1], [axis]))
-        out = np.moveaxis(out, 0, axis)
+        c = np.moveaxis(out, axis, 0)
+        r = np.zeros((M,) + c.shape[1:], dtype=complex)
+        r[:h] = c[:h]
+        r[M - h + 1:] = c[N - h + 1:]
+        if M > N:
+            r[h] = r[M - h] = 0.5 * c[h]
+        else:
+            r[h] = c[h] + c[N - h]
+        out = np.moveaxis(r, 0, axis)
     return out
 
 
 def embed_coeffs(coeffs: np.ndarray, src: TorusGrid, dst: TorusGrid) -> np.ndarray:
     """Zero-pad spectral coefficients from grid `src` onto the finer `dst`."""
-    P, _ = _transfer_matrices(src.N, dst.N)
-    return _apply_axes(P, coeffs, src.n)
+    if dst.N < src.N:
+        raise ValueError("padded size must not be smaller than source size")
+    return _resize(coeffs, src.n, src.N, dst.N)
 
 
 def truncate_coeffs(coeffs: np.ndarray, src: TorusGrid, dst: TorusGrid) -> np.ndarray:
     """Restrict spectral coefficients from the finer `src` grid onto `dst`."""
-    _, Q = _transfer_matrices(dst.N, src.N)
-    return _apply_axes(Q, coeffs, dst.n)
+    if src.N < dst.N:
+        raise ValueError("padded size must not be smaller than source size")
+    return _resize(coeffs, dst.n, src.N, dst.N)
 
 
 def coeffs_to_samples(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -129,6 +121,32 @@ def coeffs_to_samples(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
 def samples_to_coeffs(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     axes = tuple(range(-grid.n, 0))
     return np.fft.fftn(values, axes=axes) / grid.npoints
+
+
+def hermitian_scatter(grid: TorusGrid, modes: dict, tail: tuple[int, ...] = ()) -> np.ndarray:
+    """Hermitian coefficients, shape grid.shape + tail, from {wavevector: amplitude}.
+
+    Each entry contributes a exp(2 pi i k.x) + conj(a) exp(-2 pi i k.x): k
+    goes to FFT index k mod N and its conjugate to -k; self-conjugate
+    wavevectors (k = -k mod N) take the real part.  Amplitudes are scalars
+    or arrays of shape `tail`.  A wavevector outside the retained band
+    -N/2 < k_i <= N/2 raises ValueError instead of aliasing.
+    """
+    c = np.zeros(grid.shape + tail, dtype=complex)
+    for k, a in modes.items():
+        kt = (int(k),) if np.isscalar(k) else tuple(int(ki) for ki in k)
+        if len(kt) != grid.n:
+            raise ValueError(f"wavevector {kt} has wrong dimension")
+        if any(not (-grid.N // 2 < ki <= grid.N // 2) for ki in kt):
+            raise ValueError(f"wavevector {kt} outside retained band")
+        idx = tuple(ki % grid.N for ki in kt)
+        idx_conj = tuple((-ki) % grid.N for ki in kt)
+        if idx == idx_conj:
+            c[idx] += np.real(a)
+        else:
+            c[idx] += a
+            c[idx_conj] += np.conj(a)
+    return c
 
 
 @dataclass(frozen=True)
@@ -161,26 +179,8 @@ class SpectralField:
 
     @staticmethod
     def from_modes(grid: TorusGrid, modes: dict) -> "SpectralField":
-        """Build a real field from {wavevector: complex amplitude}.
-
-        Each entry contributes a exp(2 pi i k.x) + conj(a) exp(-2 pi i k.x);
-        self-conjugate wavevectors (k = -k mod N) take the real part.
-        """
-        c = np.zeros(grid.shape, dtype=complex)
-        for k, a in modes.items():
-            kt = (k,) if np.isscalar(k) else tuple(int(ki) for ki in k)
-            if len(kt) != grid.n:
-                raise ValueError(f"wavevector {kt} has wrong dimension")
-            if any(not (-grid.N // 2 < ki <= grid.N // 2) for ki in kt):
-                raise ValueError(f"wavevector {kt} outside retained band")
-            idx = tuple(ki % grid.N for ki in kt)
-            idx_conj = tuple((-ki) % grid.N for ki in kt)
-            if idx == idx_conj:
-                c[idx] += complex(a).real
-            else:
-                c[idx] += a
-                c[idx_conj] += np.conj(a)
-        return SpectralField(grid, c)
+        """Build a real field from {wavevector: complex amplitude}."""
+        return SpectralField(grid, hermitian_scatter(grid, modes))
 
     # -- basic queries -----------------------------------------------------
 
@@ -294,7 +294,6 @@ def random_band_limited(
 ) -> SpectralField:
     """Random real field supported on 0 < |k|_inf <= kmax, sup-norm ~ amplitude."""
     modes = {}
-    ranges = [range(-kmax, kmax + 1)] * grid.n
     for k in np.ndindex(*[2 * kmax + 1] * grid.n):
         kt = tuple(k[i] - kmax for i in range(grid.n))
         if all(ki == 0 for ki in kt) and zero_average:

@@ -41,6 +41,8 @@ __all__ = [
     "geo_divergence",
     "piola_residual",
     "div_theorem_residual",
+    "geometric_forms",
+    "surface_potential",
     "geo_energy",
     "geo_dissipation",
     "bulk_integral",
@@ -375,26 +377,43 @@ def div_theorem_residual(v: BulkField, eta: SpectralField, dom: FlattenedDomain)
     return float(abs(volume - (top + bot)))
 
 
+def geometric_forms(gc: GeometricCoefficients, v: np.ndarray, grad_v: np.ndarray):
+    """Kinetic and dissipation forms summed over a leading copy axis.
+
+    `v` holds velocity copies, shape (c, n+1, *grid, Mv), and
+    grad_v[c, i, j] = d_i v[c, j].  Returns the sums over copies of
+    1/2 int |v|^2 J and 1/2 int |D^A v|^2 J.
+    """
+    dom = gc.dom
+    J = gc.J.values
+    kinetic = 0.0
+    for kin in np.einsum("ci...,ci...->c...", v, v):
+        kinetic += 0.5 * bulk_integral(BulkField(dom, kin * J))
+    GA = np.einsum("ik...,ckj...->cij...", gc.A.values, grad_v)
+    sym = GA + np.swapaxes(GA, 1, 2)
+    dissipation = 0.0
+    for dis in np.einsum("cij...,cij...->c...", sym, sym):
+        dissipation += 0.5 * bulk_integral(BulkField(dom, dis * J))
+    return kinetic, dissipation
+
+
+def surface_potential(f: EnergyDensity, g: float, eta: SpectralField) -> float:
+    """W(eta) + g/2 int eta^2, the surface part of the zeroth-order energy."""
+    return se.energy(f, eta) + 0.5 * g * float(np.mean(eta.samples() ** 2))
+
+
 def geo_energy(u: BulkField, eta: SpectralField, f: EnergyDensity, g: float) -> float:
     """Zeroth-order geometric energy: 1/2 int |u|^2 J + W(eta) + g/2 int eta^2."""
-    dom = u.dom
-    geo = geometric_coefficients(eta, dom)
-    kinetic = 0.5 * bulk_integral(
-        BulkField(dom, np.einsum("i...,i...->...", u.values, u.values) * geo.J.values)
-    )
-    surf = se.energy(f, eta)
-    grav = 0.5 * g * float(np.mean(eta.samples() ** 2))
-    return kinetic + surf + grav
+    gc = geometric_coefficients(eta, u.dom)
+    kinetic, _ = geometric_forms(gc, u.values[None], full_gradient(u).values[None])
+    return kinetic + surface_potential(f, g, eta)
 
 
 def geo_dissipation(u: BulkField, eta: SpectralField) -> float:
     """Zeroth-order geometric dissipation: 1/2 int |D^A u|^2 J."""
-    dom = u.dom
-    geo = geometric_coefficients(eta, dom)
-    Dv = geo_symgrad(u, geo.A).values
-    return 0.5 * bulk_integral(
-        BulkField(dom, np.einsum("ij...,ij...->...", Dv, Dv) * geo.J.values)
-    )
+    gc = geometric_coefficients(eta, u.dom)
+    _, dissipation = geometric_forms(gc, u.values[None], full_gradient(u).values[None])
+    return dissipation
 
 
 def bulk_sobolev_norm(f: BulkField, s: int) -> float:

@@ -33,9 +33,9 @@ import scipy.linalg
 from . import geometry as geo
 from . import surface_energy as se
 from .densities import EnergyDensity
-from .fourier import SpectralField
+from .fourier import SpectralField, hermitian_scatter
 from .geometry import BulkField, FlattenedDomain
-from .stability import ModeOperator, NumericError, assemble_mode, solve_spectrum
+from .stability import ModeOperator, NumericError, assemble_mode, mode_sigma, solve_spectrum
 
 __all__ = [
     "ModeSeed",
@@ -87,63 +87,26 @@ class FlattenedState:
         eta = x[(n + 2) * M_v]
         return u, p, eta
 
-    def eta(self) -> SpectralField:
+    def _samples(self, block, tail: tuple[int, ...]) -> np.ndarray:
+        """Physical samples of one block of every mode vector, shape grid.shape + tail."""
         grid = self.dom.horizontal
-        c = np.zeros(grid.shape, dtype=complex)
-        M_v, n = self.dom.M_v, self.dom.n
-        for k, x in self.modes.items():
-            _, _, eh = self._mode_blocks(M_v, n, x)
-            idx = tuple(ki % grid.N for ki in k)
-            idxc = tuple((-ki) % grid.N for ki in k)
-            if idx == idxc:
-                c[idx] += eh.real
-            else:
-                c[idx] += eh
-                c[idxc] += np.conj(eh)
-        return SpectralField(grid, c)
+        c = hermitian_scatter(grid, {k: x[block].reshape(tail) for k, x in self.modes.items()},
+                              tail)
+        return np.fft.ifftn(c, axes=tuple(range(grid.n))).real * grid.npoints
 
-    def _bulk_from_blocks(self, pick) -> np.ndarray:
-        grid = self.dom.horizontal
-        M_v, n = self.dom.M_v, self.dom.n
-        ncomp = n + 1
-        c = np.zeros((ncomp,) + grid.shape + (M_v,), dtype=complex)
-        for k, x in self.modes.items():
-            profs = pick(k, x)
-            idx = tuple(ki % grid.N for ki in k)
-            idxc = tuple((-ki) % grid.N for ki in k)
-            for j in range(ncomp):
-                sel = (j,) + idx + (slice(None),)
-                selc = (j,) + idxc + (slice(None),)
-                if idx == idxc:
-                    c[sel] += profs[j].real
-                else:
-                    c[sel] += profs[j]
-                    c[selc] += np.conj(profs[j])
-        axes = tuple(range(1, 1 + grid.n))
-        vals = np.fft.ifftn(c, axes=axes).real * grid.npoints
-        return vals
+    def eta(self) -> SpectralField:
+        idx = (self.dom.n + 2) * self.dom.M_v
+        return SpectralField(self.dom.horizontal, hermitian_scatter(
+            self.dom.horizontal, {k: x[idx] for k, x in self.modes.items()}))
 
     def velocity(self) -> BulkField:
-        M_v, n = self.dom.M_v, self.dom.n
-        return BulkField(self.dom, self._bulk_from_blocks(
-            lambda k, x: self._mode_blocks(M_v, n, x)[0]))
+        n, M_v = self.dom.n, self.dom.M_v
+        vals = self._samples(slice(0, (n + 1) * M_v), (n + 1, M_v))
+        return BulkField(self.dom, np.moveaxis(vals, -2, 0))
 
     def pressure(self) -> BulkField:
-        grid = self.dom.horizontal
-        M_v, n = self.dom.M_v, self.dom.n
-        c = np.zeros(grid.shape + (M_v,), dtype=complex)
-        for k, x in self.modes.items():
-            _, p, _ = self._mode_blocks(M_v, n, x)
-            idx = tuple(ki % grid.N for ki in k)
-            idxc = tuple((-ki) % grid.N for ki in k)
-            if idx == idxc:
-                c[idx] += p.real
-            else:
-                c[idx] += p
-                c[idxc] += np.conj(p)
-        axes = tuple(range(grid.n))
-        vals = np.fft.ifftn(c, axes=axes).real * grid.npoints
-        return BulkField(self.dom, vals)
+        n, M_v = self.dom.n, self.dom.M_v
+        return BulkField(self.dom, self._samples(slice((n + 1) * M_v, (n + 2) * M_v), (M_v,)))
 
     # -- invariant diagnostics ----------------------------------------------
 
@@ -291,10 +254,7 @@ class Simulator:
     def sigma(self, k) -> float:
         kt = tuple(int(ki) for ki in np.atleast_1d(k))
         if kt not in self._sigmas:
-            if all(c == 0 for c in kt):
-                self._sigmas[kt] = 0.0
-            else:
-                self._sigmas[kt] = se.hessian_symbol(self.density, self.g, kt, n=self.dom.n)
+            self._sigmas[kt] = mode_sigma(self.density, self.g, kt, self.dom.n)
         return self._sigmas[kt]
 
     def op(self, k) -> ModeOperator:
@@ -322,7 +282,6 @@ class Simulator:
                 if eta_a != 0:
                     raise ValueError("eta must have zero average (no k = 0 content)")
                 # horizontal mean flow: r(-b) = 0, r'(-b) = 0, r'(0) = 0
-                r = (x3 + b) ** 2 * (1.0 - 2.0 * x3 / (b * 3.0) * 0 + 0 * x3)
                 r = (x3 + b) ** 2 * (1.0 - 2.0 / (3.0 * b) * (x3 + b))
                 r = r / np.max(np.abs(r))
                 for j in range(n):
@@ -347,6 +306,7 @@ class Simulator:
     def eigenmode_data(self, k, amplitude: float, index: int = 0) -> FlattenedState:
         """Seed the index-th slowest eigenvector of the mode operator at k."""
         kt, _ = _canonical_mode(k, self.dom.n)
+        hermitian_scatter(self.dom.horizontal, {kt: 0.0})  # an out-of-band k raises here
         spec = solve_spectrum(self.op(kt))
         v = spec.eigenvectors[:, index].copy()
         scale = np.max(np.abs(v))
@@ -471,7 +431,7 @@ class Simulator:
             kappa = 2.0 * np.pi * np.asarray(kt, dtype=float)
             k2 = float(np.dot(kappa, kappa))
             S_k = 1.0 + k2 + k2**2
-            sig_g = self.sigma(kt) if not all(c == 0 for c in kt) else 0.0
+            sig_g = self.sigma(kt)
             dx = dmodes.get(kt) if dmodes is not None else None
             u, du, p, eta, deta = self._mode_profiles(kt, x, dx)
             for factor, uu, ee in ((S_k, u, eta), (1.0, du, deta)):
@@ -547,36 +507,21 @@ class Simulator:
         grid = dom.horizontal
         eta = state.eta()
         gc = geo.geometric_coefficients(eta, dom)
-        J = gc.J.values
-        A = gc.A.values
         alphas = self._alpha_set()
         na = len(alphas)
 
-        # stack spectral mode content of all copies: (na, nc, *grid, M_v)
-        chat = np.zeros((na, nc) + grid.shape + (M_v,), dtype=complex)
-        zhat = np.zeros((na,) + grid.shape, dtype=complex)
+        # per-mode content of all copies, scattered to (na, nc, *grid, M_v) and (na, *grid)
+        vel, surf = {}, {}
         for kt, x in state.modes.items():
             u, du, p, eta_h, deta = self._mode_profiles(kt, x)
             kappa = 2.0 * np.pi * np.asarray(kt, dtype=float)
-            idx = tuple(ki % grid.N for ki in kt)
-            idxc = tuple((-ki) % grid.N for ki in kt)
-            selfconj = idx == idxc
-            for a, (at, ah) in enumerate(alphas):
-                mult = np.prod((1j * kappa) ** np.asarray(ah, dtype=float))
-                src = du if at else u
-                ee = mult * (deta if at else eta_h)
-                for j in range(nc):
-                    prof = mult * src[j]
-                    if selfconj:
-                        chat[(a, j) + idx] += prof.real
-                    else:
-                        chat[(a, j) + idx] += prof
-                        chat[(a, j) + idxc] += np.conj(prof)
-                if selfconj:
-                    zhat[(a,) + idx] += np.real(ee)
-                else:
-                    zhat[(a,) + idx] += ee
-                    zhat[(a,) + idxc] += np.conj(ee)
+            factors = [np.prod((1j * kappa) ** np.asarray(ah, dtype=float)) for _, ah in alphas]
+            vel[kt] = np.array([m * np.asarray(du if at else u)
+                                for m, (at, _) in zip(factors, alphas)])
+            surf[kt] = np.array([m * (deta if at else eta_h)
+                                 for m, (at, _) in zip(factors, alphas)])
+        chat = np.moveaxis(hermitian_scatter(grid, vel, (na, nc, M_v)), (n, n + 1), (0, 1))
+        zhat = np.moveaxis(hermitian_scatter(grid, surf, (na,)), -1, 0)
 
         haxes = tuple(range(2, 2 + grid.n))
         copies = np.fft.ifftn(chat, axes=haxes).real * grid.npoints
@@ -595,52 +540,20 @@ class Simulator:
         for i in range(grid.n):
             G[:, i] = np.fft.ifftn(spec * mults[i], axes=haxes).real
         G[:, n] = np.einsum("ab,cj...b->cj...a", dom.D3, copies)
-
-        E = 0.0
-        Dd = 0.0
-        kin = np.einsum("ci...,ci...->c...", copies, copies)
-        for a in range(na):
-            E += 0.5 * geo.bulk_integral(BulkField(dom, kin[a] * J))
-        GA = np.einsum("ik...,ckj...->cij...", A, G)
-        sym = GA + np.swapaxes(GA, 1, 2)
-        dis = np.einsum("cij...,cij...->c...", sym, sym)
-        for a in range(na):
-            Dd += 0.5 * geo.bulk_integral(BulkField(dom, dis[a] * J))
+        E, Dd = geo.geometric_forms(gc, copies, G)
 
         # surface energies: W(eta) for the identity copy, Q_eta for the rest
+        E += geo.surface_potential(self.density, self.g, eta)
         p_j, M_j, fine = se._jet_fields(eta)
-        fpp, fpM, fMM = self.density.hess(p_j, M_j)
-        E += se.energy(self.density, eta)
-        E += 0.5 * self.g * float(np.mean(eta.samples() ** 2))
+        hess = self.density.hess(p_j, M_j)
         for a, (at, ah) in enumerate(alphas):
             if at == 0 and not any(ah):
                 continue
             zeta = SpectralField(grid, zhat[a])
             gp, gM, _ = se._jet_fields(zeta, fine)
-            vals = np.einsum("...kl,...k,...l->...", fpp, gp, gp)
-            vals += 2.0 * np.einsum("...kij,...k,...ij->...", fpM, gp, gM)
-            vals += np.einsum("...ijkl,...ij,...kl->...", fMM, gM, gM)
-            E += 0.5 * float(np.mean(vals))
+            E += 0.5 * float(np.mean(se.hessian_form(hess, gp, gM)))
             E += 0.5 * self.g * float(np.mean(zeta.samples() ** 2))
         return E, Dd
-
-    def _eta_copy(self, state: FlattenedState, at: int, ah) -> SpectralField:
-        grid = self.dom.horizontal
-        c = np.zeros(grid.shape, dtype=complex)
-        M_v, n = self.dom.M_v, self.dom.n
-        for kt, x in state.modes.items():
-            _, _, _, eta, deta = self._mode_profiles(kt, x)
-            kappa = 2.0 * np.pi * np.asarray(kt, dtype=float)
-            mult = np.prod((1j * kappa) ** np.asarray(ah, dtype=float))
-            val = mult * (deta if at else eta)
-            idx = tuple(ki % grid.N for ki in kt)
-            idxc = tuple((-ki) % grid.N for ki in kt)
-            if idx == idxc:
-                c[idx] += np.real(val)
-            else:
-                c[idx] += val
-                c[idxc] += np.conj(val)
-        return SpectralField(grid, c)
 
     def functionals(self, state: FlattenedState) -> dict:
         """All six functionals on the current state."""

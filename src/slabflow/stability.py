@@ -40,6 +40,8 @@ __all__ = [
     "assemble_mode",
     "solve_spectrum",
     "resolvent_solve",
+    "mode_sigma",
+    "mode_sweep",
     "global_decay_rate",
     "conjugacy_representatives",
 ]
@@ -254,6 +256,38 @@ def conjugacy_representatives(kmax: int, n: int = 2) -> list[tuple[int, ...]]:
     return reps
 
 
+def mode_sigma(density: EnergyDensity, g: float, k, n: int) -> float:
+    """sigma(k) entering the mode operator; zero on the frozen-eta k = 0 branch."""
+    return 0.0 if all(c == 0 for c in k) else hessian_symbol(density, g, k, n=n)
+
+
+def mode_sweep(
+    density: EnergyDensity,
+    g: float,
+    b: float,
+    kmax: int,
+    M_v: int,
+    n: int = 2,
+    threads: int = 1,
+) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
+    """Filtered eigenvalues at k = 0 and at each representative with 0 < |k|_inf <= kmax.
+
+    Returns the wavevectors and, in the same order, their eigenvalues sorted
+    by ascending real part.  Eigenvectors are dropped as each mode finishes,
+    so a sweep holds only eigenvalues in memory.
+    """
+
+    def eigenvalues(kt):
+        op = assemble_mode(kt, b, mode_sigma(density, g, kt, n), M_v)
+        return solve_spectrum(op).eigenvalues
+
+    modes = [(0,) * n] + conjugacy_representatives(kmax, n)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return modes, list(ex.map(eigenvalues, modes))
+    return modes, [eigenvalues(kt) for kt in modes]
+
+
 def global_decay_rate(
     density: EnergyDensity,
     g: float,
@@ -264,19 +298,7 @@ def global_decay_rate(
     threads: int = 1,
 ) -> tuple[float, tuple[int, ...]]:
     """Slowest decay rate over 0 < |k|_inf <= kmax plus the k = 0 branch."""
-
-    def rate(kt):
-        if all(c == 0 for c in kt):
-            sigma = 0.0
-        else:
-            sigma = hessian_symbol(density, g, kt, n=n)
-        return solve_spectrum(assemble_mode(kt, b, sigma, M_v)).lambda_min
-
-    modes = [(0,) * n] + conjugacy_representatives(kmax, n)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rates = list(ex.map(rate, modes))
-    else:
-        rates = [rate(kt) for kt in modes]
+    modes, eigs = mode_sweep(density, g, b, kmax, M_v, n, threads)
+    rates = [float(w[0].real) for w in eigs]
     i = int(np.argmin(rates))
-    return float(rates[i]), modes[i]
+    return rates[i], modes[i]

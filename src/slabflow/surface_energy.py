@@ -224,16 +224,26 @@ def third_variation_apply(
     return _adjoint_jet(q, N, fine, eta.grid)
 
 
+def hessian_form(hess, gp: np.ndarray, gM: np.ndarray) -> np.ndarray:
+    """Pointwise hess f . (J zeta x J zeta), the integrand of 2 Q_eta(zeta).
+
+    `hess` = (fpp, fpM, fMM) is evaluated along the jet of eta and (gp, gM)
+    is the jet of zeta; any common leading shape is kept.
+    """
+    fpp, fpM, fMM = hess
+    vals = np.einsum("...kl,...k,...l->...", fpp, gp, gp)
+    vals += 2.0 * np.einsum("...kij,...k,...ij->...", fpM, gp, gM)
+    vals += np.einsum("...ijkl,...ij,...kl->...", fMM, gM, gM)
+    return vals
+
+
 def quad_energy(f: EnergyDensity, eta: SpectralField, zeta: SpectralField) -> float:
     """Quadratic approximation Q_eta(zeta) = 1/2 int hess f(J eta).(J zeta x J zeta)."""
     if zeta.grid != eta.grid:
         raise ValueError("eta and zeta live on different grids")
     p, M, fine = _jet_fields(eta)
     gp, gM, _ = _jet_fields(zeta, fine)
-    fpp, fpM, fMM = f.hess(p, M)
-    vals = np.einsum("...kl,...k,...l->...", fpp, gp, gp)
-    vals += 2.0 * np.einsum("...kij,...k,...ij->...", fpM, gp, gM)
-    vals += np.einsum("...ijkl,...ij,...kl->...", fMM, gM, gM)
+    vals = hessian_form(f.hess(p, M), gp, gM)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError(f"density {f.name} non-finite along the jet")
     return 0.5 * float(np.mean(vals))
@@ -303,14 +313,6 @@ def _contract_grad(grad, p, M):
     return float(np.einsum("k,k->", fp, p) + np.einsum("ij,ij->", fM, M))
 
 
-def _contract_hess(hess, p, M):
-    fpp, fpM, fMM = hess
-    out = np.einsum("kl,k,l->", fpp, p, p)
-    out += 2.0 * np.einsum("kij,k,ij->", fpM, p, M)
-    out += np.einsum("ijkl,ij,kl->", fMM, M, M)
-    return float(out)
-
-
 def _contract_third(third, p, M):
     fppp, fppM, fpMM, fMMM = third
     out = np.einsum("klm,k,l,m->", fppp, p, p, p)
@@ -338,7 +340,7 @@ def taylor_split(f: EnergyDensity, order: int, z: Jet) -> tuple[float, float]:
     if order >= 1:
         poly += _contract_grad(grad0, z.p, z.M)
     if order >= 2:
-        poly += 0.5 * _contract_hess(hess0, z.p, z.M)
+        poly += 0.5 * float(hessian_form(hess0, z.p, z.M))
 
     if order == 0:
 
@@ -350,7 +352,7 @@ def taylor_split(f: EnergyDensity, order: int, z: Jet) -> tuple[float, float]:
 
         def integrand(t):
             fpp, fpM, fMM = f.hess(t * p1, t * M1)
-            return (1.0 - t) * _contract_hess((fpp[0], fpM[0], fMM[0]), z.p, z.M)
+            return (1.0 - t) * float(hessian_form((fpp[0], fpM[0], fMM[0]), z.p, z.M))
 
     else:
 
