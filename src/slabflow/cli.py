@@ -177,8 +177,11 @@ def cmd_simulate(cfg: RunConfig, out: str) -> int:
         print(f"warning: configuration is not elliptic (min ratio {ell.min_ratio:.3e}); "
               "simulation may grow", file=sys.stderr)
     if cfg.eigenmode is not None:
-        state = simulator.eigenmode_data(cfg.eigenmode["k"], cfg.eigenmode["amplitude"],
-                                         cfg.eigenmode["index"])
+        try:
+            state = simulator.eigenmode_data(cfg.eigenmode["k"], cfg.eigenmode["amplitude"],
+                                             cfg.eigenmode["index"])
+        except ValueError as exc:
+            raise ConfigError(f"initial_data.eigenmode: {exc}") from exc
     else:
         seeds = [sim.ModeSeed(m.k, m.eta, m.u) for m in cfg.modes]
         state = simulator.admissible_data(seeds)

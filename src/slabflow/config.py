@@ -214,6 +214,8 @@ def parse_config(raw: dict) -> RunConfig:
                              "initial_data.eigenmode.index"),
         }
         _no_leftovers(eig, "initial_data.eigenmode")
+        if eig_parsed["index"] < 0:
+            raise ConfigError("initial_data.eigenmode.index: must be >= 0")
         eig = eig_parsed
     _no_leftovers(idata, "initial_data")
 

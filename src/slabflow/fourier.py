@@ -17,6 +17,7 @@ __all__ = [
     "TorusGrid",
     "SpectralField",
     "hermitian_scatter",
+    "derivative_multiplier",
     "dealiased_product",
     "sqrt_neg_laplacian",
     "random_band_limited",
@@ -147,6 +148,18 @@ def hermitian_scatter(grid: TorusGrid, modes: dict, tail: tuple[int, ...] = ()) 
             c[idx] += a
             c[idx_conj] += np.conj(a)
     return c
+
+
+def derivative_multiplier(grid: TorusGrid) -> np.ndarray:
+    """Symbol 2 pi i k of d/dx along one axis, FFT ordering, Nyquist k = N/2 zeroed.
+
+    A first derivative of a real field has no consistent sign at the
+    Nyquist wavenumber, so that slot is dropped.
+    """
+    k1 = grid.axis_wavenumbers()
+    mult = 2j * np.pi * k1.astype(float)
+    mult[k1 == grid.N // 2] = 0.0
+    return mult
 
 
 @dataclass(frozen=True)

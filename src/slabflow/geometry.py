@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from .densities import EnergyDensity
-from .fourier import SpectralField, TorusGrid, sqrt_neg_laplacian
+from .fourier import SpectralField, TorusGrid, derivative_multiplier, sqrt_neg_laplacian
 from . import surface_energy as se
 
 __all__ = [
@@ -278,12 +278,9 @@ def _horizontal_derivative(values: np.ndarray, dom: FlattenedDomain, axis: int) 
     grid = dom.horizontal
     haxes = tuple(range(-1 - grid.n, -1))
     c = np.fft.fftn(values, axes=haxes)
-    k1 = grid.axis_wavenumbers().astype(float)
-    mult = 2j * np.pi * k1
-    mult[grid.axis_wavenumbers() == grid.N // 2] = 0.0
     shape = [1] * values.ndim
     shape[haxes[axis]] = grid.N
-    c = c * mult.reshape(shape)
+    c = c * derivative_multiplier(grid).reshape(shape)
     return np.fft.ifftn(c, axes=haxes).real
 
 
@@ -377,24 +374,37 @@ def div_theorem_residual(v: BulkField, eta: SpectralField, dom: FlattenedDomain)
     return float(abs(volume - (top + bot)))
 
 
-def geometric_forms(gc: GeometricCoefficients, v: np.ndarray, grad_v: np.ndarray):
+def geometric_forms(gc: GeometricCoefficients, v: np.ndarray, grad_v):
     """Kinetic and dissipation forms summed over a leading copy axis.
 
     `v` holds velocity copies, shape (c, n+1, *grid, Mv), and
-    grad_v[c, i, j] = d_i v[c, j].  Returns the sums over copies of
+    grad_v[i][c, j] = d_i v[c, j].  Returns the sums over copies of
     1/2 int |v|^2 J and 1/2 int |D^A v|^2 J.
+
+    A is the identity except for column n, so (A grad v)_ij is
+    d_i v_j + A_in d_n v_j for i < n and A_nn d_n v_j for i = n, and
+    |D^A v|^2 = 4 sum_i (A grad v)_ii^2 + 2 sum_{i<j} ((A grad v)_ij + (A grad v)_ji)^2.
+    Both integrands are summed over the copies before the J-weighted integral.
     """
     dom = gc.dom
+    n = dom.n
+    A = gc.A.values
     J = gc.J.values
-    kinetic = 0.0
-    for kin in np.einsum("ci...,ci...->c...", v, v):
-        kinetic += 0.5 * bulk_integral(BulkField(dom, kin * J))
-    GA = np.einsum("ik...,ckj...->cij...", gc.A.values, grad_v)
-    sym = GA + np.swapaxes(GA, 1, 2)
-    dissipation = 0.0
-    for dis in np.einsum("cij...,cij...->c...", sym, sym):
-        dissipation += 0.5 * bulk_integral(BulkField(dom, dis * J))
-    return kinetic, dissipation
+
+    def ga(i, j):
+        if i == n:
+            return A[n, n] * grad_v[n][:, j]
+        return grad_v[i][:, j] + A[i, n] * grad_v[n][:, j]
+
+    def copy_sum_sq(x):
+        return np.einsum("c...,c...->...", x, x)
+
+    kinetic = np.einsum("cj...,cj...->...", v, v)
+    dissipation = 4.0 * sum(copy_sum_sq(ga(i, i)) for i in range(n + 1))
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            dissipation += 2.0 * copy_sum_sq(ga(i, j) + ga(j, i))
+    return 0.5 * bulk_integral(kinetic * J, dom), 0.5 * bulk_integral(dissipation * J, dom)
 
 
 def surface_potential(f: EnergyDensity, g: float, eta: SpectralField) -> float:
@@ -405,14 +415,14 @@ def surface_potential(f: EnergyDensity, g: float, eta: SpectralField) -> float:
 def geo_energy(u: BulkField, eta: SpectralField, f: EnergyDensity, g: float) -> float:
     """Zeroth-order geometric energy: 1/2 int |u|^2 J + W(eta) + g/2 int eta^2."""
     gc = geometric_coefficients(eta, u.dom)
-    kinetic, _ = geometric_forms(gc, u.values[None], full_gradient(u).values[None])
+    kinetic, _ = geometric_forms(gc, u.values[None], full_gradient(u).values[:, None])
     return kinetic + surface_potential(f, g, eta)
 
 
 def geo_dissipation(u: BulkField, eta: SpectralField) -> float:
     """Zeroth-order geometric dissipation: 1/2 int |D^A u|^2 J."""
     gc = geometric_coefficients(eta, u.dom)
-    _, dissipation = geometric_forms(gc, u.values[None], full_gradient(u).values[None])
+    _, dissipation = geometric_forms(gc, u.values[None], full_gradient(u).values[:, None])
     return dissipation
 
 

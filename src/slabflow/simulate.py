@@ -33,7 +33,7 @@ import scipy.linalg
 from . import geometry as geo
 from . import surface_energy as se
 from .densities import EnergyDensity
-from .fourier import SpectralField, hermitian_scatter
+from .fourier import SpectralField, derivative_multiplier, hermitian_scatter
 from .geometry import BulkField, FlattenedDomain
 from .stability import ModeOperator, NumericError, assemble_mode, mode_sigma, solve_spectrum
 
@@ -304,10 +304,17 @@ class Simulator:
         return state
 
     def eigenmode_data(self, k, amplitude: float, index: int = 0) -> FlattenedState:
-        """Seed the index-th slowest eigenvector of the mode operator at k."""
+        """Seed the index-th slowest eigenvector of the mode operator at k.
+
+        Raises ValueError unless 0 <= index < the number of eigenpairs that
+        pass the spectral filter at k.
+        """
         kt, _ = _canonical_mode(k, self.dom.n)
         hermitian_scatter(self.dom.horizontal, {kt: 0.0})  # an out-of-band k raises here
         spec = solve_spectrum(self.op(kt))
+        if not 0 <= index < len(spec.eigenvalues):
+            raise ValueError(f"eigenmode index {index} out of range: "
+                             f"{len(spec.eigenvalues)} eigenpairs resolved at k={kt}")
         v = spec.eigenvectors[:, index].copy()
         scale = np.max(np.abs(v))
         v *= amplitude / scale
@@ -379,17 +386,18 @@ class Simulator:
     # -- functionals -------------------------------------------------------------
 
     def _alpha_set(self):
-        """Multi-indices of parabolic order <= 2: (time order, horizontal orders)."""
+        """Distinct multi-indices of parabolic order <= 2 with their multiplicity:
+        (time order, horizontal orders, weight).  The mixed derivative
+        d_i d_j (i < j) stands for both orders of differentiation, weight 2."""
         n = self.dom.n
         zero = (0,) * n
-        out = [(0, zero), (1, zero)]
-        for i in range(n):
-            e = tuple(1 if a == i else 0 for a in range(n))
-            out.append((0, e))
-        for i in range(n):
-            for j in range(n):
-                e = tuple((1 if a == i else 0) + (1 if a == j else 0) for a in range(n))
-                out.append((0, e))
+
+        def e(*axes):
+            return tuple(sum(1 for i in axes if i == a) for a in range(n))
+
+        out = [(0, zero, 1), (1, zero, 1)]
+        out += [(0, e(i), 1) for i in range(n)]
+        out += [(0, e(i, j), 1 if i == j else 2) for i in range(n) for j in range(i, n)]
         return out
 
     def _mode_profiles(self, kt, x, dx=None):
@@ -497,9 +505,11 @@ class Simulator:
     def _geometric_pair(self, state: FlattenedState):
         """E_geo and D_geo: J-weighted, A-symmetrized, full surface energy.
 
-        All derivative copies are stacked along a leading axis and pushed
-        through single transform rounds; the surface quadratic forms reuse
-        one Hessian evaluation of the density along the jet of eta.
+        Each derivative copy carries the square root of its multiplicity,
+        so every sum over copies is plain.  The copies and their horizontal
+        gradients are stacked as half spectra and pushed through one real
+        inverse transform; the surface quadratic forms reuse one Hessian
+        evaluation of the density along the jet of eta.
         """
         dom = self.dom
         n, M_v = dom.n, dom.M_v
@@ -510,43 +520,40 @@ class Simulator:
         alphas = self._alpha_set()
         na = len(alphas)
 
-        # per-mode content of all copies, scattered to (na, nc, *grid, M_v) and (na, *grid)
+        # per-mode content of all copies, scattered to (*grid, na, nc, M_v) and (*grid, na)
         vel, surf = {}, {}
         for kt, x in state.modes.items():
             u, du, p, eta_h, deta = self._mode_profiles(kt, x)
             kappa = 2.0 * np.pi * np.asarray(kt, dtype=float)
-            factors = [np.prod((1j * kappa) ** np.asarray(ah, dtype=float)) for _, ah in alphas]
+            factors = [np.sqrt(w) * np.prod((1j * kappa) ** np.asarray(ah, dtype=float))
+                       for _, ah, w in alphas]
             vel[kt] = np.array([m * np.asarray(du if at else u)
-                                for m, (at, _) in zip(factors, alphas)])
+                                for m, (at, _, _) in zip(factors, alphas)])
             surf[kt] = np.array([m * (deta if at else eta_h)
-                                 for m, (at, _) in zip(factors, alphas)])
-        chat = np.moveaxis(hermitian_scatter(grid, vel, (na, nc, M_v)), (n, n + 1), (0, 1))
+                                 for m, (at, _, _) in zip(factors, alphas)])
         zhat = np.moveaxis(hermitian_scatter(grid, surf, (na,)), -1, 0)
 
-        haxes = tuple(range(2, 2 + grid.n))
-        copies = np.fft.ifftn(chat, axes=haxes).real * grid.npoints
-
-        # gradients of all copies in one round: G[a, i, j] = d_i v_j
-        k1 = grid.axis_wavenumbers().astype(float)
-        mults = []
-        for axis in range(grid.n):
-            shape = [1] * (2 + grid.n + 1)
-            shape[2 + axis] = grid.N
-            m = 2j * np.pi * k1
-            m[grid.axis_wavenumbers() == grid.N // 2] = 0.0
-            mults.append(m.reshape(shape))
-        G = np.empty((na, nc, nc) + grid.shape + (M_v,))
-        spec = chat * grid.npoints  # forward transform of `copies`, known analytically
-        for i in range(grid.n):
-            G[:, i] = np.fft.ifftn(spec * mults[i], axes=haxes).real
-        G[:, n] = np.einsum("ab,cj...b->cj...a", dom.D3, copies)
-        E, Dd = geo.geometric_forms(gc, copies, G)
+        # spec[0] holds the copies, spec[1 + i] their d_i, as half spectra
+        # along the last horizontal axis: (1+n, na, nc, *half, M_v).  Coefficients
+        # multiply exp(2 pi i k.x) as they are, so the inverse is unscaled.
+        half = grid.shape[:-1] + (grid.N // 2 + 1,)
+        chat = hermitian_scatter(grid, vel, (na, nc, M_v))[tuple(slice(h) for h in half)]
+        spec = np.empty((1 + n, na, nc) + half + (M_v,), dtype=complex)
+        spec[0] = np.moveaxis(chat, tuple(range(n)), tuple(range(2, 2 + n)))
+        mult = derivative_multiplier(grid)
+        for i in range(n):
+            shape = [1] * (2 + n + 1)
+            shape[2 + i] = half[i]
+            np.multiply(spec[0], mult[:half[i]].reshape(shape), out=spec[1 + i])
+        fields = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(3, 3 + n)), norm="forward")
+        copies = fields[0]
+        E, Dd = geo.geometric_forms(gc, copies, [*fields[1:], copies @ dom.D3.T])
 
         # surface energies: W(eta) for the identity copy, Q_eta for the rest
         E += geo.surface_potential(self.density, self.g, eta)
         p_j, M_j, fine = se._jet_fields(eta)
         hess = self.density.hess(p_j, M_j)
-        for a, (at, ah) in enumerate(alphas):
+        for a, (at, ah, _) in enumerate(alphas):
             if at == 0 and not any(ah):
                 continue
             zeta = SpectralField(grid, zhat[a])
