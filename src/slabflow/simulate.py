@@ -3,8 +3,10 @@
 The linearized system diagonalizes over horizontal wavevectors, so a state
 is a set of per-mode profile vectors (one conjugacy representative per
 excited wavevector; the -k content is implied by reality).  Steps are
-implicit (Crank-Nicolson by default, backward Euler optionally) through
-cached factorizations of the per-mode operators.
+implicit (Crank-Nicolson by default, backward Euler optionally): each mode
+set caches the stack of its per-mode one-step propagators, and one batched
+product advances every mode; the functionals are batched over the same
+stack.
 
 Functionals follow three conventions:
   * equilibrium (E_eq, D_eq): quadratic forms of the unknowns and their
@@ -35,7 +37,8 @@ from . import surface_energy as se
 from .densities import EnergyDensity
 from .fourier import SpectralField, derivative_multiplier, hermitian_scatter
 from .geometry import BulkField, FlattenedDomain
-from .stability import ModeOperator, NumericError, assemble_mode, mode_sigma, solve_spectrum
+from .stability import (ModeLayout, ModeOperator, NumericError, assemble_mode, mode_sigma,
+                        solve_spectrum, time_derivative_trace)
 
 __all__ = [
     "ModeSeed",
@@ -79,13 +82,23 @@ class FlattenedState:
     def copy(self) -> "FlattenedState":
         return FlattenedState(self.dom, {k: v.copy() for k, v in self.modes.items()}, self.t)
 
-    # -- materialization ----------------------------------------------------
+    @property
+    def layout(self) -> ModeLayout:
+        return ModeLayout(self.dom.n, self.dom.M_v)
 
-    def _mode_blocks(self, M_v: int, n: int, x: np.ndarray):
-        u = [x[j * M_v:(j + 1) * M_v] for j in range(n + 1)]
-        p = x[(n + 1) * M_v:(n + 2) * M_v]
-        eta = x[(n + 2) * M_v]
-        return u, p, eta
+    def stack(self) -> tuple[tuple, np.ndarray]:
+        """The wavevectors and their mode vectors stacked as rows, shape (modes, dim)."""
+        keys = tuple(self.modes)
+        X = np.array(list(self.modes.values()), dtype=complex)
+        return keys, X.reshape(len(keys), self.layout.dim)
+
+    def _blocks(self):
+        """Velocity blocks (modes, n+1, M_v) and kappa = 2 pi k (modes, n) of the stack."""
+        keys, X = self.stack()
+        u, _, _ = self.layout.blocks(X)
+        return u, 2.0 * np.pi * np.array(keys, dtype=float).reshape(len(keys), self.dom.n)
+
+    # -- materialization ----------------------------------------------------
 
     def _samples(self, block, tail: tuple[int, ...]) -> np.ndarray:
         """Physical samples of one block of every mode vector, shape grid.shape + tail."""
@@ -95,18 +108,17 @@ class FlattenedState:
         return np.fft.ifftn(c, axes=tuple(range(grid.n))).real * grid.npoints
 
     def eta(self) -> SpectralField:
-        idx = (self.dom.n + 2) * self.dom.M_v
+        idx = self.layout.eta
         return SpectralField(self.dom.horizontal, hermitian_scatter(
             self.dom.horizontal, {k: x[idx] for k, x in self.modes.items()}))
 
     def velocity(self) -> BulkField:
-        n, M_v = self.dom.n, self.dom.M_v
-        vals = self._samples(slice(0, (n + 1) * M_v), (n + 1, M_v))
+        lay = self.layout
+        vals = self._samples(slice(0, lay.p.start), (lay.n + 1, lay.M_v))
         return BulkField(self.dom, np.moveaxis(vals, -2, 0))
 
     def pressure(self) -> BulkField:
-        n, M_v = self.dom.n, self.dom.M_v
-        return BulkField(self.dom, self._samples(slice((n + 1) * M_v, (n + 2) * M_v), (M_v,)))
+        return BulkField(self.dom, self._samples(self.layout.p, (self.dom.M_v,)))
 
     # -- invariant diagnostics ----------------------------------------------
 
@@ -114,40 +126,21 @@ class FlattenedState:
         k0 = (0,) * self.dom.n
         if k0 not in self.modes:
             return 0.0
-        return float(self.modes[k0][(self.dom.n + 2) * self.dom.M_v].real)
+        return float(self.modes[k0][self.layout.eta].real)
 
     def divergence_residual(self) -> float:
-        M_v, n = self.dom.M_v, self.dom.n
-        D = self.dom.D3
-        worst = 0.0
-        for k, x in self.modes.items():
-            u, _, _ = self._mode_blocks(M_v, n, x)
-            kappa = 2.0 * np.pi * np.asarray(k, dtype=float)
-            div = D @ u[n]
-            for j in range(n):
-                div = div + 1j * kappa[j] * u[j]
-            worst = max(worst, float(np.max(np.abs(div))))
-        return worst
+        u, kappa = self._blocks()
+        div = u[:, -1] @ self.dom.D3.T + np.sum(1j * kappa[:, :, None] * u[:, :-1], axis=1)
+        return float(np.max(np.abs(div), initial=0.0))
 
     def bottom_slip(self) -> float:
-        M_v, n = self.dom.M_v, self.dom.n
-        worst = 0.0
-        for _, x in self.modes.items():
-            u, _, _ = self._mode_blocks(M_v, n, x)
-            worst = max(worst, float(max(np.abs(u[j][-1]) for j in range(n + 1))))
-        return worst
+        u, _ = self._blocks()
+        return float(np.max(np.abs(u[..., -1]), initial=0.0))
 
     def tangential_stress_residual(self) -> float:
-        M_v, n = self.dom.M_v, self.dom.n
-        D = self.dom.D3
-        worst = 0.0
-        for k, x in self.modes.items():
-            u, _, _ = self._mode_blocks(M_v, n, x)
-            kappa = 2.0 * np.pi * np.asarray(k, dtype=float)
-            for j in range(n):
-                res = (D @ u[j])[0] + 1j * kappa[j] * u[n][0]
-                worst = max(worst, float(abs(res)))
-        return worst
+        u, kappa = self._blocks()
+        res = u[:, :-1] @ self.dom.D3[0] + 1j * kappa * u[:, -1:, 0]
+        return float(np.max(np.abs(res), initial=0.0))
 
 
 @dataclass
@@ -238,6 +231,18 @@ class SimulationSettings:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
+@dataclass(frozen=True)
+class _ModeSet:
+    """Per-mode constants of one mode set, in the order of its stack."""
+
+    kappa: np.ndarray   # 2 pi k, (modes, n)
+    k2: np.ndarray      # |kappa|^2
+    sigma: np.ndarray   # sigma(k)
+    weight: np.ndarray  # 1 at k = 0, 2 for a conjugate pair
+    mean: np.ndarray    # k = 0
+    hs: np.ndarray      # (4, 4, modes), see Simulator._mode_set
+
+
 class Simulator:
     """Owner of one physical configuration (density, gravity, domain)."""
 
@@ -245,9 +250,11 @@ class Simulator:
         self.density = density
         self.g = float(g)
         self.dom = dom
+        self.layout = ModeLayout(dom.n, dom.M_v)
         self._ops: dict[tuple[int, ...], ModeOperator] = {}
         self._steppers: dict = {}
         self._sigmas: dict[tuple[int, ...], float] = {}
+        self._mode_sets: dict[tuple, _ModeSet] = {}
 
     # -- operators -----------------------------------------------------------
 
@@ -269,15 +276,15 @@ class Simulator:
         """State built from per-mode profiles that satisfy, exactly at the
         collocation nodes: no slip at the bottom, zero tangential stress on
         top, the solenoidality constraint, and zero average of eta."""
-        dom = self.dom
-        n, M_v = dom.n, dom.M_v
+        dom, lay = self.dom, self.layout
+        n = dom.n
         D, x3, b = dom.D3, dom.x3, dom.b
         modes: dict[tuple[int, ...], np.ndarray] = {}
         for seed in seeds:
             kt, conj = _canonical_mode(seed.k, n)
             eta_a = np.conj(seed.eta) if conj else complex(seed.eta)
             u_a = np.conj(seed.u) if conj else complex(seed.u)
-            x = modes.setdefault(kt, np.zeros((n + 2) * M_v + 1, dtype=complex))
+            x = modes.setdefault(kt, np.zeros(lay.dim, dtype=complex))
             if all(c == 0 for c in kt):
                 if eta_a != 0:
                     raise ValueError("eta must have zero average (no k = 0 content)")
@@ -285,20 +292,20 @@ class Simulator:
                 r = (x3 + b) ** 2 * (1.0 - 2.0 / (3.0 * b) * (x3 + b))
                 r = r / np.max(np.abs(r))
                 for j in range(n):
-                    x[j * M_v:(j + 1) * M_v] += u_a.real * r
+                    x[lay.u(j)] += u_a.real * r
             else:
                 kappa = 2.0 * np.pi * np.asarray(kt, dtype=float)
                 k2 = float(np.dot(kappa, kappa))
-                x[(n + 2) * M_v] += eta_a
+                x[lay.eta] += eta_a
                 if u_a != 0:
                     # w(-b) = w'(-b) = 0 and w''(0) = -k2 w(0)
                     c1 = -(2.0 + k2 * b * b) / (4.0 * b)
                     w = (x3 + b) ** 2 * (1.0 + c1 * x3)
                     w = w / np.max(np.abs(w))
                     dw = D @ w
-                    x[n * M_v:(n + 1) * M_v] += u_a * w
+                    x[lay.u(n)] += u_a * w
                     for j in range(n):
-                        x[j * M_v:(j + 1) * M_v] += u_a * 1j * kappa[j] * dw / k2
+                        x[lay.u(j)] += u_a * 1j * kappa[j] * dw / k2
         state = FlattenedState(dom, modes, 0.0)
         geo.geometric_coefficients(state.eta(), dom)  # raises DomainDegenerate if too steep
         return state
@@ -328,16 +335,16 @@ class Simulator:
         Per mode: p'' = |kappa|^2 p in the strip, p(0) = 2 u3'(0) + sigma eta,
         p'(-b) = (u3'' - |kappa|^2 u3)(-b); solved by vertical collocation.
         """
-        dom = self.dom
-        n, M_v = dom.n, dom.M_v
+        dom, lay = self.dom, self.layout
+        M_v = dom.M_v
         D = dom.D3
         D2 = D @ D
         out = state.copy()
         for kt, x in out.modes.items():
             kappa = 2.0 * np.pi * np.asarray(kt, dtype=float)
             k2 = float(np.dot(kappa, kappa))
-            u3 = x[n * M_v:(n + 1) * M_v]
-            eta_h = x[(n + 2) * M_v]
+            u3 = x[lay.u(dom.n)]
+            eta_h = x[lay.eta]
             A = D2 - k2 * np.eye(M_v)
             rhs = np.zeros(M_v, dtype=complex)
             A = A.astype(complex)
@@ -350,40 +357,68 @@ class Simulator:
             resid = np.max(np.abs(A @ p - rhs))
             if resid > 1e-10 * max(1.0, np.max(np.abs(rhs))):
                 raise NumericError(f"pressure solve residual {resid:.2e} at k={kt}")
-            x[(n + 1) * M_v:(n + 2) * M_v] = p
+            x[lay.p] = p
         return out
 
     # -- stepping --------------------------------------------------------------
 
-    def _stepper(self, kt, dt: float, scheme: str):
-        key = (kt, dt, scheme)
+    def _propagator(self, keys: tuple, dt: float, scheme: str) -> np.ndarray:
+        """One-step propagators P_k = A1^-1 A2 of a mode set, stacked (modes, dim, dim)."""
+        key = (keys, dt, scheme)
         if key not in self._steppers:
-            op = self.op(kt)
             theta = 0.5 if scheme == "crank-nicolson" else 1.0
-            A1 = op.B / dt + theta * op.L
-            A2 = op.B / dt - (1.0 - theta) * op.L
-            # constraint rows (no mass) must hold at the new time exactly
-            algebraic = np.where(np.abs(op.B).sum(axis=1) == 0.0)[0]
-            A2[algebraic, :] = 0.0
-            self._steppers[key] = (scipy.linalg.lu_factor(A1), A2)
+            P = np.empty((len(keys), self.layout.dim, self.layout.dim), dtype=complex)
+            for i, kt in enumerate(keys):
+                op = self.op(kt)
+                A1 = op.B / dt + theta * op.L
+                A2 = op.B / dt - (1.0 - theta) * op.L
+                # constraint rows (no mass) must hold at the new time exactly
+                algebraic = np.where(np.abs(op.B).sum(axis=1) == 0.0)[0]
+                A2[algebraic, :] = 0.0
+                if all(c == 0 for c in kt):
+                    # the k = 0 pressure is fixed only up to a constant and its
+                    # divergence rows are dependent: gauge p(bottom) = 0 instead
+                    # of the bottom-node divergence row
+                    bottom = self.layout.p.stop - 1
+                    A1[bottom, :] = 0.0
+                    A1[bottom, bottom] = 1.0
+                P[i] = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A1), A2)
+            self._steppers[key] = P
         return self._steppers[key]
 
     def step(self, state: FlattenedState, dt: float,
              scheme: str = "crank-nicolson") -> FlattenedState:
         """One implicit step; the k = 0 surface entry is carried unchanged."""
-        out = state.copy()
-        n, M_v = self.dom.n, self.dom.M_v
-        for kt, x in state.modes.items():
-            lu, A2 = self._stepper(kt, dt, scheme)
-            xn = scipy.linalg.lu_solve(lu, A2 @ x)
-            if all(c == 0 for c in kt):
-                xn[(n + 2) * M_v] = x[(n + 2) * M_v]  # mass: d_t eta_hat(0) = 0
-                xn = xn.real.astype(complex)
-            out.modes[kt] = xn
-        out.t = state.t + dt
-        return out
+        keys, X = state.stack()
+        mean = self._mode_set(keys).mean
+        Y = (self._propagator(keys, dt, scheme) @ X[:, :, None])[:, :, 0]
+        eta = self.layout.eta
+        Y[mean, eta] = X[mean, eta]  # mass: d_t eta_hat(0) = 0
+        Y[mean] = Y[mean].real
+        return FlattenedState(self.dom, dict(zip(keys, Y)), state.t + dt)
 
     # -- functionals -------------------------------------------------------------
+
+    def _mode_set(self, keys: tuple) -> "_ModeSet":
+        """Per-mode constants of the wavevectors `keys`, cached per mode set."""
+        if keys not in self._mode_sets:
+            n = self.dom.n
+            kappa = 2.0 * np.pi * np.array(keys, dtype=float).reshape(len(keys), n)
+            mean = ~np.any(kappa, axis=1)
+            # hs[s, d]: weight of the d-th vertical derivative in the H^s norm, the
+            # sum of prod |kappa_i|^(2 m_i) over horizontal orders with |m| <= s - d
+            hs = np.zeros((4, 4, len(keys)))
+            for multi in product(range(4), repeat=n):
+                h = sum(multi)
+                if h <= 3:
+                    term = np.prod(np.abs(kappa) ** (2.0 * np.asarray(multi)), axis=1)
+                    for order in range(h, 4):
+                        hs[order, :order - h + 1] += term
+            self._mode_sets[keys] = _ModeSet(
+                kappa=kappa, k2=np.sum(kappa**2, axis=1),
+                sigma=np.array([self.sigma(kt) for kt in keys]),
+                weight=np.where(mean, 1.0, 2.0), mean=mean, hs=hs)
+        return self._mode_sets[keys]
 
     def _alpha_set(self):
         """Distinct multi-indices of parabolic order <= 2 with their multiplicity:
@@ -400,107 +435,69 @@ class Simulator:
         out += [(0, e(i, j), 1 if i == j else 2) for i in range(n) for j in range(i, n)]
         return out
 
-    def _mode_profiles(self, kt, x, dx=None):
-        """Velocity/pressure/eta blocks of x and of its time derivative.
+    def _profiles(self, state: FlattenedState):
+        """The state's stack with its constants, and the blocks of the stack and
+        of its time derivative: the evolution equations traced on the state
+        (the construction used for initial data), with the surface average
+        frozen.  Velocities are (modes, n+1, M_v), pressures (modes, M_v)."""
+        keys, X = state.stack()
+        c = self._mode_set(keys)
+        u, p, eta = self.layout.blocks(X)
+        du, _, deta = self.layout.blocks(time_derivative_trace(X, c.kappa, self.dom.D3))
+        return keys, c, u, du, p, eta, np.where(c.mean, 0.0, deta)
 
-        The derivative defaults to the evolution equations traced on x
-        (the construction used for initial data); callers integrating in
-        time may pass the stepper's own difference quotient instead.
-        """
-        n, M_v = self.dom.n, self.dom.M_v
-        if dx is None:
-            dx = self.op(kt).pde_time_derivative(x)
-        u = [x[j * M_v:(j + 1) * M_v] for j in range(n + 1)]
-        du = [dx[j * M_v:(j + 1) * M_v] for j in range(n + 1)]
-        p = x[(n + 1) * M_v:(n + 2) * M_v]
-        eta = x[(n + 2) * M_v]
-        deta = dx[(n + 2) * M_v]
-        if all(c == 0 for c in kt):
-            deta = 0.0  # frozen surface average
-        return u, du, p, eta, deta
-
-    def _equilibrium_pair(self, state: FlattenedState, dmodes: dict | None = None):
+    def _equilibrium_pair(self, state: FlattenedState):
         """E_eq and D_eq: parabolic-order-two sums of the equilibrium forms.
 
         The horizontal-derivative copies of one mode are scalar multiples of
         it, so the sum over spatial multi-indices collapses to the factor
         S_k = 1 + |kappa|^2 + |kappa|^4, leaving the time-derivative copy as
-        the only extra evaluation.  `dmodes` optionally supplies per-mode
-        time-derivative vectors; the default is the PDE trace.
+        the only extra evaluation.
         """
-        dom = self.dom
-        n, M_v = dom.n, dom.M_v
-        w3 = dom.w3
-        D = dom.D3
-        E = 0.0
-        Dd = 0.0
-        for kt, x in state.modes.items():
-            weight = 1.0 if all(c == 0 for c in kt) else 2.0
-            kappa = 2.0 * np.pi * np.asarray(kt, dtype=float)
-            k2 = float(np.dot(kappa, kappa))
-            S_k = 1.0 + k2 + k2**2
-            sig_g = self.sigma(kt)
-            dx = dmodes.get(kt) if dmodes is not None else None
-            u, du, p, eta, deta = self._mode_profiles(kt, x, dx)
-            for factor, uu, ee in ((S_k, u, eta), (1.0, du, deta)):
-                E += weight * factor * 0.5 * sum(float(w3 @ np.abs(c) ** 2) for c in uu)
-                E += weight * factor * 0.5 * sig_g * abs(ee) ** 2
-                G = np.zeros((n + 1, n + 1, M_v), dtype=complex)
-                for i in range(n):
-                    for j in range(n + 1):
-                        G[i, j] = 1j * kappa[i] * uu[j]
-                for j in range(n + 1):
-                    G[n, j] = D @ uu[j]
-                sym = G + np.swapaxes(G, 0, 1)
-                Dd += weight * factor * 0.5 * float(w3 @ np.sum(np.abs(sym) ** 2, axis=(0, 1)))
-        return E, Dd
+        w3 = self.dom.w3
+        _, c, u, du, _, eta, deta = self._profiles(state)
+        # (copy, mode): the state with factor S_k, its time derivative with 1
+        U, Z = np.stack([u, du]), np.stack([eta, deta])
+        f = c.weight * np.stack([1.0 + c.k2 + c.k2**2, np.ones_like(c.k2)])
+        E = 0.5 * np.sum(f * ((np.abs(U) ** 2 @ w3).sum(axis=-1) + c.sigma * np.abs(Z) ** 2))
+        # G[..., i, j, :] = d_i u_j: i < n horizontal, i = n vertical
+        G = np.concatenate([1j * c.kappa[:, :, None, None] * U[:, :, None],
+                            (U @ self.dom.D3.T)[:, :, None]], axis=2)
+        sym = np.abs(G + np.swapaxes(G, 2, 3)) ** 2
+        Dd = 0.5 * np.sum(f * (sym.sum(axis=(2, 3)) @ w3))
+        return float(E), float(Dd)
 
     def _improved_pair(self, state: FlattenedState):
         """E_imp and D_imp: the Sobolev-norm versions."""
-        dom = self.dom
-        n, M_v = dom.n, dom.M_v
-        w3, D = dom.w3, dom.D3
+        n, w3, D = self.dom.n, self.dom.w3, self.dom.D3
+        _, c, u, du, p, eta, deta = self._profiles(state)
 
-        def bulk_hs_sq(profiles, kappa, s):
-            total = 0.0
-            for order in range(s + 1):
-                for multi in product(range(order + 1), repeat=n + 1):
-                    if sum(multi) != order:
-                        continue
-                    hmult = np.prod(np.abs(kappa) ** np.asarray(multi[:n], dtype=float)) ** 2
-                    if hmult == 0.0 and any(multi[:n]):
-                        continue
-                    for c in profiles:
-                        d = c
-                        for _ in range(multi[n]):
-                            d = D @ d
-                        total += hmult * float(w3 @ np.abs(d) ** 2)
-            return total
+        def vertical_norms(f, s):
+            """sum over components of w3 |D^d f|^2 for d = 0 .. s, shape (s+1, modes)."""
+            out = []
+            for _ in range(s + 1):
+                out.append((np.abs(f) ** 2 @ w3).sum(axis=-1))
+                f = f @ D.T
+            return np.array(out)
 
-        E = 0.0
-        Dd = 0.0
-        for kt, x in state.modes.items():
-            weight = 1.0 if all(c == 0 for c in kt) else 2.0
-            kappa = 2.0 * np.pi * np.asarray(kt, dtype=float)
-            bracket = 1.0 + float(np.dot(kappa, kappa))
-            u, du, p, eta, deta = self._mode_profiles(kt, x)
-            ddeta = du[n][0]  # d_t^2 eta = d_t u3 at the top
-            E += weight * (
-                bulk_hs_sq(u, kappa, 2)
-                + bulk_hs_sq(du, kappa, 0)
-                + bulk_hs_sq([p], kappa, 1)
-                + bracket**4.5 * abs(eta) ** 2
-                + bracket**2 * abs(deta) ** 2
-            )
-            Dd += weight * (
-                bulk_hs_sq(u, kappa, 3)
-                + bulk_hs_sq(du, kappa, 1)
-                + bulk_hs_sq([p], kappa, 2)
-                + bracket**5.5 * abs(eta) ** 2
-                + bracket**2.5 * abs(deta) ** 2
-                + bracket**0.5 * abs(ddeta) ** 2
-            )
-        return E, Dd
+        def hs_sq(norms, s):
+            return np.sum(c.hs[s, :s + 1] * norms[:s + 1], axis=0)
+
+        Nu, Ndu, Np = vertical_norms(u, 3), vertical_norms(du, 1), vertical_norms(p[:, None], 2)
+        bracket = 1.0 + c.k2
+        ddeta = du[:, n, 0]  # d_t^2 eta = d_t u3 at the top
+        E = c.weight * (
+            hs_sq(Nu, 2) + hs_sq(Ndu, 0) + hs_sq(Np, 1)
+            + bracket**4.5 * np.abs(eta) ** 2
+            + bracket**2 * np.abs(deta) ** 2
+        )
+        Dd = c.weight * (
+            hs_sq(Nu, 3) + hs_sq(Ndu, 1) + hs_sq(Np, 2)
+            + bracket**5.5 * np.abs(eta) ** 2
+            + bracket**2.5 * np.abs(deta) ** 2
+            + bracket**0.5 * np.abs(ddeta) ** 2
+        )
+        return float(np.sum(E)), float(np.sum(Dd))
 
     def _geometric_pair(self, state: FlattenedState):
         """E_geo and D_geo: J-weighted, A-symmetrized, full surface energy.
@@ -520,24 +517,22 @@ class Simulator:
         alphas = self._alpha_set()
         na = len(alphas)
 
-        # per-mode content of all copies, scattered to (*grid, na, nc, M_v) and (*grid, na)
-        vel, surf = {}, {}
-        for kt, x in state.modes.items():
-            u, du, p, eta_h, deta = self._mode_profiles(kt, x)
-            kappa = 2.0 * np.pi * np.asarray(kt, dtype=float)
-            factors = [np.sqrt(w) * np.prod((1j * kappa) ** np.asarray(ah, dtype=float))
-                       for _, ah, w in alphas]
-            vel[kt] = np.array([m * np.asarray(du if at else u)
-                                for m, (at, _, _) in zip(factors, alphas)])
-            surf[kt] = np.array([m * (deta if at else eta_h)
-                                 for m, (at, _, _) in zip(factors, alphas)])
-        zhat = np.moveaxis(hermitian_scatter(grid, surf, (na,)), -1, 0)
+        # content of all copies per mode, (modes, na, nc, M_v) and (modes, na),
+        # scattered to (*grid, na, nc, M_v) and (*grid, na)
+        keys, c, u, du, _, eta_h, deta = self._profiles(state)
+        factors = np.stack([np.sqrt(w) * np.prod((1j * c.kappa) ** np.asarray(ah, dtype=float),
+                                                 axis=1) for _, ah, w in alphas], axis=1)
+        timed = np.array([at == 1 for at, _, _ in alphas])
+        vel = factors[:, :, None, None] * np.where(timed[:, None, None], du[:, None], u[:, None])
+        surf = factors * np.where(timed, deta[:, None], eta_h[:, None])
+        zhat = np.moveaxis(hermitian_scatter(grid, dict(zip(keys, surf)), (na,)), -1, 0)
 
         # spec[0] holds the copies, spec[1 + i] their d_i, as half spectra
         # along the last horizontal axis: (1+n, na, nc, *half, M_v).  Coefficients
         # multiply exp(2 pi i k.x) as they are, so the inverse is unscaled.
         half = grid.shape[:-1] + (grid.N // 2 + 1,)
-        chat = hermitian_scatter(grid, vel, (na, nc, M_v))[tuple(slice(h) for h in half)]
+        chat = hermitian_scatter(grid, dict(zip(keys, vel)),
+                                 (na, nc, M_v))[tuple(slice(h) for h in half)]
         spec = np.empty((1 + n, na, nc) + half + (M_v,), dtype=complex)
         spec[0] = np.moveaxis(chat, tuple(range(n)), tuple(range(2, 2 + n)))
         mult = derivative_multiplier(grid)

@@ -34,12 +34,14 @@ from .geometry import chebyshev_lobatto
 from .surface_energy import hessian_symbol
 
 __all__ = [
+    "ModeLayout",
     "ModeOperator",
     "Spectrum",
     "NumericError",
     "assemble_mode",
     "solve_spectrum",
     "resolvent_solve",
+    "time_derivative_trace",
     "mode_sigma",
     "mode_sweep",
     "global_decay_rate",
@@ -51,6 +53,56 @@ RESIDUAL_FILTER = 1e-8
 
 class NumericError(RuntimeError):
     """Eigensolver or linear-solver failure."""
+
+
+@dataclass(frozen=True)
+class ModeLayout:
+    """Where the unknowns of a mode vector x = (u_1 .. u_n, u_3, p, eta_hat) sit:
+    n + 1 velocity blocks and one pressure block of M_v vertical nodes each,
+    then the surface amplitude."""
+
+    n: int
+    M_v: int
+
+    @property
+    def dim(self) -> int:
+        return (self.n + 2) * self.M_v + 1
+
+    def u(self, j: int) -> slice:
+        return slice(j * self.M_v, (j + 1) * self.M_v)
+
+    @property
+    def p(self) -> slice:
+        return self.u(self.n + 1)
+
+    @property
+    def eta(self) -> int:
+        return (self.n + 2) * self.M_v
+
+    def blocks(self, X: np.ndarray):
+        """Views of mode vectors X (..., dim): velocity (..., n+1, M_v),
+        pressure (..., M_v) and eta (...)."""
+        u = X[..., :self.p.start].reshape(X.shape[:-1] + (self.n + 1, self.M_v))
+        return u, X[..., self.p], X[..., self.eta]
+
+
+def time_derivative_trace(X: np.ndarray, kappa: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Trace of the evolution equations on mode vectors X (modes, dim) with
+    wavevectors kappa = 2 pi k (modes, n): (du/dt, dp/dt = 0, deta/dt).
+
+    du/dt = -grad p + lap u at every node (momentum trace), and
+    deta/dt = u3(top).  The pressure slot is left zero.
+    """
+    lay = ModeLayout(kappa.shape[1], D.shape[0])
+    u, p, _ = lay.blocks(X)
+    k2 = np.sum(kappa**2, axis=1)
+    out = np.zeros_like(X)
+    du, _, _ = lay.blocks(out)
+    du[...] = u @ (D @ D).T - k2[:, None, None] * u
+    du[:, :-1] -= 1j * kappa[:, :, None] * p[:, None, :]
+    du[:, -1] -= p @ D.T
+    out[:, lay.eta] = u[:, -1, 0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -71,37 +123,28 @@ class ModeOperator:
         return len(self.k)
 
     @property
+    def layout(self) -> ModeLayout:
+        return ModeLayout(self.n, self.M_v)
+
+    @property
     def dim(self) -> int:
-        return (self.n + 2) * self.M_v + 1
+        return self.layout.dim
 
     def slice_u(self, j: int) -> slice:
-        return slice(j * self.M_v, (j + 1) * self.M_v)
+        return self.layout.u(j)
 
     @property
     def slice_p(self) -> slice:
-        return slice((self.n + 1) * self.M_v, (self.n + 2) * self.M_v)
+        return self.layout.p
 
     @property
     def idx_eta(self) -> int:
-        return (self.n + 2) * self.M_v
+        return self.layout.eta
 
     def pde_time_derivative(self, x: np.ndarray) -> np.ndarray:
-        """Trace of the evolution equations on the state: (du/dt, dp/dt=0, deta/dt).
-
-        du/dt = -grad p + lap u at every node (momentum trace), and
-        deta/dt = u3(top).  The pressure slot is left zero.
-        """
-        n, M = self.n, self.M_v
+        """`time_derivative_trace` of the one mode vector x."""
         kappa = 2.0 * np.pi * np.asarray(self.k, dtype=float)
-        k2 = float(np.dot(kappa, kappa))
-        lap = self.D @ self.D - k2 * np.eye(M)
-        p = x[self.slice_p]
-        out = np.zeros_like(x)
-        for j in range(n):
-            out[self.slice_u(j)] = lap @ x[self.slice_u(j)] - 1j * kappa[j] * p
-        out[self.slice_u(n)] = lap @ x[self.slice_u(n)] - self.D @ p
-        out[self.idx_eta] = x[self.slice_u(n)][0]
-        return out
+        return time_derivative_trace(x[None], kappa[None], self.D)[0]
 
 
 def assemble_mode(k, b: float, sigma: float, M_v: int) -> ModeOperator:
@@ -122,22 +165,17 @@ def assemble_mode(k, b: float, sigma: float, M_v: int) -> ModeOperator:
     k2 = float(np.dot(kappa, kappa))
     eye = np.eye(M_v)
 
-    dim = (n + 2) * M_v + 1
-    L = np.zeros((dim, dim), dtype=complex)
-    B = np.zeros((dim, dim), dtype=complex)
-
-    def su(j):
-        return slice(j * M_v, (j + 1) * M_v)
-
-    sp = slice((n + 1) * M_v, (n + 2) * M_v)
-    ie = (n + 2) * M_v
+    lay = ModeLayout(n, M_v)
+    L = np.zeros((lay.dim, lay.dim), dtype=complex)
+    B = np.zeros((lay.dim, lay.dim), dtype=complex)
+    su, sp, ie = lay.u, lay.p, lay.eta
     top, bot = 0, M_v - 1
     interior = list(range(1, M_v - 1))
 
     # momentum rows: lambda u = (k2 - D2) u + grad p
     for j in range(n + 1):
         r = su(j)
-        rows = np.array(interior) + j * M_v
+        rows = np.array(interior) + r.start
         L[np.ix_(rows, range(r.start, r.stop))] += (k2 * eye - D2)[interior, :]
         if j < n:
             L[rows, np.arange(sp.start, sp.stop)[interior]] += 1j * kappa[j]
@@ -147,14 +185,14 @@ def assemble_mode(k, b: float, sigma: float, M_v: int) -> ModeOperator:
 
     # no-slip bottom rows
     for j in range(n + 1):
-        L[j * M_v + bot, j * M_v + bot] = 1.0
+        L[su(j).start + bot, su(j).start + bot] = 1.0
 
     # top rows: tangential stress for horizontal components, normal stress for u3
     for j in range(n):
-        r = j * M_v + top
+        r = su(j).start + top
         L[r, su(j)] += D[top, :]
-        L[r, n * M_v + top] += 1j * kappa[j]
-    r = n * M_v + top
+        L[r, su(n).start + top] += 1j * kappa[j]
+    r = su(n).start + top
     L[r, sp.start + top] = 1.0
     L[r, su(n)] += -2.0 * D[top, :]
     L[r, ie] = -sigma
@@ -163,7 +201,7 @@ def assemble_mode(k, b: float, sigma: float, M_v: int) -> ModeOperator:
     for i in range(M_v):
         r = sp.start + i
         for j in range(n):
-            L[r, j * M_v + i] += 1j * kappa[j]
+            L[r, su(j).start + i] += 1j * kappa[j]
         L[r, su(n)] += D[i, :]
 
     # kinematic row: lambda eta = -u3(top); frozen eta on the k = 0 branch
@@ -171,7 +209,7 @@ def assemble_mode(k, b: float, sigma: float, M_v: int) -> ModeOperator:
         L[ie, ie] = 1.0
     else:
         B[ie, ie] = 1.0
-        L[ie, n * M_v + top] = -1.0
+        L[ie, su(n).start + top] = -1.0
 
     return ModeOperator(k=kt, b=float(b), sigma=float(sigma), M_v=M_v, L=L, B=B, x3=x3, D=D)
 
@@ -195,31 +233,19 @@ def solve_spectrum(op: ModeOperator) -> Spectrum:
         w, V = scipy.linalg.eig(op.L, op.B)
     except Exception as exc:  # pragma: no cover - scipy failure paths
         raise NumericError(f"eigensolver failed at k={op.k}: {exc}") from exc
-    keep, res = [], []
-    for i in range(w.size):
-        if not np.isfinite(w[i]):
-            continue
-        v = V[:, i]
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        r = np.linalg.norm(op.L @ v - w[i] * (op.B @ v)) / nv
-        if r <= RESIDUAL_FILTER:
-            keep.append(i)
-            res.append(r)
-    if not keep:
+    # residual ||L v - w B v|| / ||v|| of every finite eigenpair with a nonzero vector
+    finite = np.isfinite(w)
+    R = op.L @ V - (op.B @ V) * np.where(finite, w, 0.0)
+    nv = np.linalg.norm(V, axis=0)
+    res = np.linalg.norm(R, axis=0) / np.where(nv > 0.0, nv, 1.0)
+    keep = np.flatnonzero(finite & (nv > 0.0) & (res <= RESIDUAL_FILTER))
+    if keep.size == 0:
         raise NumericError(
             f"no eigenvalues passed the residual filter at k={op.k}; "
             f"condition of L: {np.linalg.cond(op.L):.2e}"
         )
-    keep = np.asarray(keep)
-    order = np.argsort(w[keep].real, kind="stable")
-    keep = keep[order]
-    return Spectrum(
-        eigenvalues=w[keep],
-        eigenvectors=V[:, keep],
-        residuals=np.asarray(res)[order],
-    )
+    keep = keep[np.argsort(w[keep].real, kind="stable")]
+    return Spectrum(eigenvalues=w[keep], eigenvectors=V[:, keep], residuals=res[keep])
 
 
 def resolvent_solve(op: ModeOperator, dt: float, rhs: np.ndarray) -> np.ndarray:
