@@ -92,7 +92,7 @@ class FlattenedState:
         X = np.array(list(self.modes.values()), dtype=complex)
         return keys, X.reshape(len(keys), self.layout.dim)
 
-    def _blocks(self):
+    def _velocity_stack(self):
         """Velocity blocks (modes, n+1, M_v) and kappa = 2 pi k (modes, n) of the stack."""
         keys, X = self.stack()
         u, _, _ = self.layout.blocks(X)
@@ -129,16 +129,16 @@ class FlattenedState:
         return float(self.modes[k0][self.layout.eta].real)
 
     def divergence_residual(self) -> float:
-        u, kappa = self._blocks()
+        u, kappa = self._velocity_stack()
         div = u[:, -1] @ self.dom.D3.T + np.sum(1j * kappa[:, :, None] * u[:, :-1], axis=1)
         return float(np.max(np.abs(div), initial=0.0))
 
     def bottom_slip(self) -> float:
-        u, _ = self._blocks()
+        u, _ = self._velocity_stack()
         return float(np.max(np.abs(u[..., -1]), initial=0.0))
 
     def tangential_stress_residual(self) -> float:
-        u, kappa = self._blocks()
+        u, kappa = self._velocity_stack()
         res = u[:, :-1] @ self.dom.D3[0] + 1j * kappa * u[:, -1:, 0]
         return float(np.max(np.abs(res), initial=0.0))
 

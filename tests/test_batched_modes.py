@@ -182,10 +182,12 @@ def test_empty_state():
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_alternating_mode_sets(scheme):
-    """Two states with different mode sets on one simulator, stepped in turn."""
+    """Two states with different mode sets of one size on one simulator, stepped in turn."""
     s, a = STATES["n2"]
     b = s.init_pressure(s.admissible_data([sim.ModeSeed((2, 1), eta=0.003, u=0.05j),
-                                           sim.ModeSeed((1, -2), eta=-0.002)]))
+                                           sim.ModeSeed((1, -2), eta=-0.002),
+                                           sim.ModeSeed((0, 3), eta=0.001, u=0.02)]))
+    assert len(b.modes) == len(a.modes) and list(b.modes) != list(a.modes)
     ra, rb = a, b
     for _ in range(5):
         a, b = s.step(a, 2e-3, scheme), s.step(b, 2e-3, scheme)
