@@ -206,7 +206,7 @@ def test_mode_operator_trace_is_one_row_of_the_batch():
     for i, k in enumerate(keys):
         scale = np.max(np.abs(batch[i]))
         assert np.max(np.abs(s.op(k).pde_time_derivative(X[i]) - batch[i])) <= 1e-14 * scale
-        _, _, du, _, _, deta = ref_profiles(s, k, X[i])
+        _, _, du, _, _, _ = ref_profiles(s, k, X[i])
         assert np.max(np.abs(batch[i][:(s.dom.n + 1) * M_V] - np.concatenate(du))) \
             <= 1e-12 * scale
         assert np.all(batch[i][(s.dom.n + 1) * M_V:-1] == 0.0)
@@ -240,7 +240,7 @@ def test_mean_flow_steps_as_one_dimensional_diffusion():
     assert np.all(x[2 * 24:] == 0.0)  # u3, p and eta stay exactly zero
 
 
-def test_cli_simulate_with_mean_flow(tmp_path, capsys):
+def test_cli_simulate_with_mean_flow(tmp_path):
     cfg = {"density": {"family": "combo", "alpha": -1.0, "beta": 0.042},
            "gravity": -1.0, "depth": 1.0,
            "grid": {"n": 2, "N": 16, "M_v": 24},
