@@ -56,6 +56,14 @@ def _as_complex(v, path: str) -> complex:
     raise ConfigError(f"{path}: expected a number or [re, im] pair")
 
 
+def _as_square_matrix(v, path: str, n: int) -> list[list[float]]:
+    """An n x n matrix of finite numbers, n the surface dimension grid.n."""
+    if not (isinstance(v, list) and len(v) == n
+            and all(isinstance(row, list) and len(row) == n for row in v)):
+        raise ConfigError(f"{path}: expected a {n}x{n} matrix for grid.n = {n}, got {v!r}")
+    return [[_as_float(x, path) for x in row] for row in v]
+
+
 @dataclass(frozen=True)
 class ModeEntry:
     k: tuple[int, ...]
@@ -181,6 +189,9 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("grid.N: must be even and >= 8")
     if grid.M_v < 8:
         raise ConfigError("grid.M_v: must be >= 8")
+    if "matrix" in density_params:
+        density_params["matrix"] = _as_square_matrix(density_params["matrix"], "density.matrix",
+                                                     grid.n)
 
     tsec = dict(_take(raw, "top level", "time", {}) or {})
     time = TimeSection(

@@ -7,10 +7,12 @@ built-in family has the bending form
     f(p, M) = 1/2 * w(p) * (C(p) : M)^2 + b(p)
 
 with closed-form derivatives up to third order, assembled by the product
-rule from the derivatives of the scalar weight w, the matrix form C, and
-the gradient-only well b.  All evaluation routines are vectorized: p has
-shape (..., n) and M has shape (..., n, n), where leading axes range over
-grid points.
+rule from the derivatives of the scalar weight w, the matrix form C, the
+contraction c = C(p) : M and the gradient-only well b.  Every evaluation
+call computes the derivative chain of each family once, only to the order
+it needs, and assembles the tensors by broadcasting.  All evaluation
+routines are vectorized: p has shape (..., n) and M has shape (..., n, n),
+where leading axes range over grid points.
 
 Derivative tensor layout (leading grid axes elided):
     grad  -> fp[k],            fM[i,j]
@@ -38,57 +40,86 @@ __all__ = [
 ]
 
 
+def _slots_first(a, r: int):
+    """Contiguous copy of `a` with its r trailing tensor slots moved to the front.
+
+    Inside this module tensors are laid out slots first, grid axes last, so
+    that broadcasting runs its inner loops along the grid points.
+    """
+    return np.ascontiguousarray(np.moveaxis(a, range(-r, 0), range(r)))
+
+
+def _slots_last(a, r: int):
+    """The public layout of a slots-first tensor with r slots (a view)."""
+    return np.moveaxis(a, range(r), range(-r, 0))
+
+
+def _eye(n: int, grid_ndim: int):
+    """The n x n identity, broadcastable against slots-first (n, n, *grid) arrays."""
+    return np.eye(n).reshape((n, n) + (1,) * grid_ndim)
+
+
+def _sym2(t):
+    """t_kl + t_lk on the first two slots."""
+    return t + np.swapaxes(t, 0, 1)
+
+
+def _sym3(t):
+    """t_klm + t_kml + t_lmk on the first three slots: for t_klm = X_kl v_m
+    with X symmetric, the sum over the three slots v can take."""
+    return t + np.swapaxes(t, 1, 2) + np.moveaxis(t, 2, 0)
+
+
 # ---------------------------------------------------------------------------
-# scalar families g(p) with derivatives to third order
+# scalar families g(p) = phi(m0 + m1 |p|^2)
 # ---------------------------------------------------------------------------
 
 
-class _Scalar:
-    """Smooth scalar function of p with derivatives up to order three."""
+class _Radial:
+    """Scalar function of p through v = m0 + m1 |p|^2.
 
-    def value(self, p):
+    Subclasses give phi and its v-derivatives; `chain` turns them into the
+    p-derivatives of g(p) = phi(v) by the chain rule.
+    """
+
+    m0 = m1 = 1.0
+
+    def _phi(self, v, order: int) -> list:
+        """[phi(v), phi'(v), ...] up to the given order."""
         raise NotImplementedError
 
-    def d1(self, p):
-        raise NotImplementedError
+    def chain(self, p, order: int) -> list:
+        """[g, g_k, g_kl, g_klm][:order + 1] at slots-first p of shape (n, *grid)."""
+        v = self.m0 + self.m1 * np.sum(p**2, axis=0)
+        phi = self._phi(v, order)
+        out = [phi[0]]
+        if order >= 1:
+            a = 2.0 * self.m1 * phi[1]
+            out.append(a * p)
+        if order >= 2:
+            eye = _eye(p.shape[0], p.ndim - 1)
+            pp = p[:, None] * p[None, :]
+            b = 4.0 * self.m1**2 * phi[2]
+            out.append(a * eye + b * pp)
+        if order >= 3:
+            # 4 m1^2 phi'' (d_kl p_m + d_km p_l + d_lm p_k) + 8 m1^3 phi''' p_k p_l p_m
+            X = b * eye + (8.0 / 3.0 * self.m1**3 * phi[3]) * pp
+            out.append(_sym3(X[:, :, None] * p[None, None]))
+        return out
 
-    def d2(self, p):
-        raise NotImplementedError
 
-    def d3(self, p):
-        raise NotImplementedError
-
-
-class PolyRadial(_Scalar):
+class PolyRadial(_Radial):
     """c0 + c1 |p|^2."""
 
     def __init__(self, c0: float, c1: float = 0.0):
-        self.c0 = float(c0)
-        self.c1 = float(c1)
+        self.m0 = float(c0)
+        self.m1 = float(c1)
 
-    def value(self, p):
-        return self.c0 + self.c1 * np.sum(p**2, axis=-1)
-
-    def d1(self, p):
-        return 2.0 * self.c1 * p
-
-    def d2(self, p):
-        n = p.shape[-1]
-        eye = np.eye(n)
-        return np.broadcast_to(2.0 * self.c1 * eye, p.shape[:-1] + (n, n)).copy()
-
-    def d3(self, p):
-        n = p.shape[-1]
-        return np.zeros(p.shape[:-1] + (n, n, n))
+    def _phi(self, v, order):
+        return [v, np.ones_like(v), np.zeros_like(v), np.zeros_like(v)][:order + 1]
 
 
-def _sym3_outer(delta, p):
-    """delta_kl p_m + delta_km p_l + delta_lm p_k, shape (..., n, n, n)."""
-    t = delta[..., :, :, None] * p[..., None, None, :]
-    return t + np.swapaxes(t, -1, -2) + np.swapaxes(t, -1, -3)
-
-
-class SqrtRadial(_Scalar):
+class SqrtRadial(_Radial):
     """scale * (sqrt(m0 + m1 |p|^2) + shift).
 
     With (m0, m1, shift) = (1, 1, -1) this is the area well
@@ -100,33 +131,17 @@ class SqrtRadial(_Scalar):
             raise ValueError("m0 must be positive")
         self.m0, self.m1, self.scale, self.shift = float(m0), float(m1), float(scale), float(shift)
 
-    def _v(self, p):
-        return self.m0 + self.m1 * np.sum(p**2, axis=-1)
-
-    def value(self, p):
-        return self.scale * (np.sqrt(self._v(p)) + self.shift)
-
-    def d1(self, p):
-        v = self._v(p)
-        return self.scale * self.m1 * p * v[..., None] ** -0.5
-
-    def d2(self, p):
-        n = p.shape[-1]
-        v = self._v(p)[..., None, None]
-        eye = np.eye(n)
-        pp = p[..., :, None] * p[..., None, :]
-        return self.scale * (self.m1 * eye * v**-0.5 - self.m1**2 * pp * v**-1.5)
-
-    def d3(self, p):
-        n = p.shape[-1]
-        v = self._v(p)[..., None, None, None]
-        eye = np.eye(n)
-        sym = _sym3_outer(np.broadcast_to(eye, p.shape[:-1] + (n, n)), p)
-        ppp = p[..., :, None, None] * p[..., None, :, None] * p[..., None, None, :]
-        return self.scale * (-self.m1**2 * sym * v**-1.5 + 3.0 * self.m1**3 * ppp * v**-2.5)
+    def _phi(self, v, order):
+        s = np.sqrt(v)
+        out = [self.scale * (s + self.shift)]
+        d = 0.5 * self.scale / s
+        for j in range(1, order + 1):
+            out.append(d)
+            d = (0.5 - j) * d / v
+        return out
 
 
-class InvSqrtRadial(_Scalar):
+class InvSqrtRadial(_Radial):
     """scale * (m0 + m1 |p|^2)^(-1/2)."""
 
     def __init__(self, m0: float, m1: float, scale: float = 1.0):
@@ -134,53 +149,43 @@ class InvSqrtRadial(_Scalar):
             raise ValueError("m0 must be positive")
         self.m0, self.m1, self.scale = float(m0), float(m1), float(scale)
 
-    def _v(self, p):
-        return self.m0 + self.m1 * np.sum(p**2, axis=-1)
+    def _phi(self, v, order):
+        d = self.scale / np.sqrt(v)
+        out = [d]
+        for j in range(1, order + 1):
+            d = (0.5 - j) * d / v
+            out.append(d)
+        return out
 
-    def value(self, p):
-        return self.scale * self._v(p) ** -0.5
 
-    def d1(self, p):
-        v = self._v(p)
-        return -self.scale * self.m1 * p * v[..., None] ** -1.5
+class _Reciprocal(_Radial):
+    """(1 + |p|^2)^(-1), the weight inside the tangent projection."""
 
-    def d2(self, p):
-        n = p.shape[-1]
-        v = self._v(p)[..., None, None]
-        eye = np.eye(n)
-        pp = p[..., :, None] * p[..., None, :]
-        return self.scale * (-self.m1 * eye * v**-1.5 + 3.0 * self.m1**2 * pp * v**-2.5)
-
-    def d3(self, p):
-        n = p.shape[-1]
-        v = self._v(p)[..., None, None, None]
-        eye = np.eye(n)
-        sym = _sym3_outer(np.broadcast_to(eye, p.shape[:-1] + (n, n)), p)
-        ppp = p[..., :, None, None] * p[..., None, :, None] * p[..., None, None, :]
-        return self.scale * (3.0 * self.m1**2 * sym * v**-2.5 - 15.0 * self.m1**3 * ppp * v**-3.5)
+    def _phi(self, v, order):
+        d = 1.0 / v
+        out = [d]
+        for j in range(1, order + 1):
+            d = -j * d / v
+            out.append(d)
+        return out
 
 
 # ---------------------------------------------------------------------------
-# matrix families C(p) with derivatives to third order
+# matrix families C(p), seen through c = C(p) : M
 # ---------------------------------------------------------------------------
 
 
 class _Matrix:
-    """Smooth symmetric-matrix function of p with derivatives to order three.
+    """Smooth symmetric-matrix function C(p).
 
-    Layout: value[i,j]; d1[i,j,k] = d C_ij / dp_k; d2[i,j,k,l]; d3[i,j,k,l,m].
+    `chain(p, M, order)` takes slots-first p (n, *grid) and M (n, n, *grid)
+    and returns (Cs, cs): Cs[j] is the j-th p-derivative of C for j < order,
+    derivative slots first (C1[k,i,j], C2[k,l,i,j]), and cs[j] the j-th
+    p-derivative of c = C(p) : M for j <= order.  A constant C gives None
+    for every derivative.
     """
 
-    def value(self, p):
-        raise NotImplementedError
-
-    def d1(self, p):
-        raise NotImplementedError
-
-    def d2(self, p):
-        raise NotImplementedError
-
-    def d3(self, p):
+    def chain(self, p, M, order: int):
         raise NotImplementedError
 
 
@@ -193,115 +198,66 @@ class ConstMatrix(_Matrix):
             raise ValueError("C0 must be symmetric")
         self.C0 = C0
 
-    def value(self, p):
-        n = self.C0.shape[0]
-        return np.broadcast_to(self.C0, p.shape[:-1] + (n, n)).copy()
-
-    def d1(self, p):
-        n = self.C0.shape[0]
-        return np.zeros(p.shape[:-1] + (n, n, n))
-
-    def d2(self, p):
-        n = self.C0.shape[0]
-        return np.zeros(p.shape[:-1] + (n,) * 4)
-
-    def d3(self, p):
-        n = self.C0.shape[0]
-        return np.zeros(p.shape[:-1] + (n,) * 5)
+    def chain(self, p, M, order):
+        c = np.einsum("ij,ij...->...", self.C0, M)
+        Cs = [np.broadcast_to(self.C0.reshape(self.C0.shape + (1,) * (M.ndim - 2)), M.shape)]
+        return (Cs + [None] * (order - 1))[:order], [c] + [None] * order
 
 
 class TangentProjection(_Matrix):
-    """G(p) = I - p otimes p / (1 + |p|^2), the inverse metric of a graph."""
+    """G(p) = I - p otimes p / (1 + |p|^2), the inverse metric of a graph.
 
-    @staticmethod
-    def _w_chain(p):
-        # w = (1 + |p|^2)^(-1), with derivatives to third order
-        u = 1.0 + np.sum(p**2, axis=-1)
-        n = p.shape[-1]
-        eye = np.eye(n)
-        w = u**-1.0
-        w1 = -2.0 * p * u[..., None] ** -2.0
-        pp = p[..., :, None] * p[..., None, :]
-        w2 = -2.0 * eye * u[..., None, None] ** -2.0 + 8.0 * pp * u[..., None, None] ** -3.0
-        sym = _sym3_outer(np.broadcast_to(eye, p.shape[:-1] + (n, n)), p)
-        ppp = p[..., :, None, None] * p[..., None, :, None] * p[..., None, None, :]
-        w3 = 8.0 * sym * u[..., None, None, None] ** -3.0 - 48.0 * ppp * u[..., None, None, None] ** -4.0
-        return w, w1, w2, w3
+    With w = (1 + |p|^2)^(-1) and q = p.M p the contraction is
+    c = tr M - w q; for symmetric M, q has the derivatives 2 M p, 2 M and 0.
+    """
 
-    def value(self, p):
-        n = p.shape[-1]
-        w, _, _, _ = self._w_chain(p)
-        eye = np.eye(n)
-        return eye - w[..., None, None] * p[..., :, None] * p[..., None, :]
+    _w = _Reciprocal()
 
-    def d1(self, p):
-        n = p.shape[-1]
-        w, w1, _, _ = self._w_chain(p)
-        eye = np.eye(n)
-        pp = p[..., :, None] * p[..., None, :]
-        # h_ij,k = w_k p_i p_j + w (delta_ik p_j + delta_jk p_i)
-        h1 = pp[..., :, :, None] * w1[..., None, None, :]
-        h1 += w[..., None, None, None] * (
-            eye[:, None, :] * p[..., None, :, None] + eye[None, :, :] * p[..., :, None, None]
-        )
-        return -h1
-
-    def d2(self, p):
-        n = p.shape[-1]
-        w, w1, w2, _ = self._w_chain(p)
-        eye = np.eye(n)
-        pp = p[..., :, None] * p[..., None, :]
-        h2 = pp[..., :, :, None, None] * w2[..., None, None, :, :]
-        h2 += np.einsum("...k,il,...j->...ijkl", w1, eye, p)
-        h2 += np.einsum("...k,jl,...i->...ijkl", w1, eye, p)
-        h2 += np.einsum("...l,ik,...j->...ijkl", w1, eye, p)
-        h2 += np.einsum("...l,jk,...i->...ijkl", w1, eye, p)
-        h2 += np.einsum("...,ik,jl->...ijkl", w, eye, eye)
-        h2 += np.einsum("...,jk,il->...ijkl", w, eye, eye)
-        return -h2
-
-    def d3(self, p):
-        n = p.shape[-1]
-        w, w1, w2, w3 = self._w_chain(p)
-        eye = np.eye(n)
-        h3 = np.einsum("...i,...j,...klm->...ijklm", p, p, w3)
-        h3 += np.einsum("...kl,im,...j->...ijklm", w2, eye, p)
-        h3 += np.einsum("...kl,jm,...i->...ijklm", w2, eye, p)
-        h3 += np.einsum("...km,il,...j->...ijklm", w2, eye, p)
-        h3 += np.einsum("...km,jl,...i->...ijklm", w2, eye, p)
-        h3 += np.einsum("...lm,ik,...j->...ijklm", w2, eye, p)
-        h3 += np.einsum("...lm,jk,...i->...ijklm", w2, eye, p)
-        h3 += np.einsum("...k,il,jm->...ijklm", w1, eye, eye)
-        h3 += np.einsum("...k,jl,im->...ijklm", w1, eye, eye)
-        h3 += np.einsum("...l,ik,jm->...ijklm", w1, eye, eye)
-        h3 += np.einsum("...l,jk,im->...ijklm", w1, eye, eye)
-        h3 += np.einsum("...m,ik,jl->...ijklm", w1, eye, eye)
-        h3 += np.einsum("...m,jk,il->...ijklm", w1, eye, eye)
-        return -h3
+    def chain(self, p, M, order):
+        w = self._w.chain(p, order)
+        q2 = _sym2(M)
+        q1 = np.sum(q2 * p[None], axis=1)
+        q = 0.5 * np.sum(p * q1, axis=0)
+        cs = [np.trace(M) - w[0] * q]
+        if order >= 1:
+            cs.append(-(w[1] * q + w[0] * q1))
+        if order >= 2:
+            cs.append(-(q * w[2] + _sym2(w[1][:, None] * q1[None]) + w[0] * q2))
+        if order >= 3:
+            t = w[2][:, :, None] * q1[None, None] + q2[:, :, None] * w[1][None, None]
+            cs.append(-(q * w[3] + _sym3(t)))
+        if order == 0:
+            return [], cs
+        eye = _eye(p.shape[0], p.ndim - 1)
+        pp = p[:, None] * p[None, :]
+        Cs = [eye - w[0] * pp]
+        if order >= 2:
+            # E[k,i,j] = d(p_i p_j)/dp_k = d_ki p_j + d_kj p_i
+            E = eye[:, :, None] * p[None, None]
+            E = E + np.swapaxes(E, 1, 2)
+            Cs.append(-(w[1][:, None, None] * pp[None] + w[0] * E))
+        if order >= 3:
+            # d^2(p_i p_j)/dp_k dp_l = d_ki d_lj + d_kj d_li
+            DD = eye[:, None, :, None] * eye[None, :, None, :]
+            t = w[1][:, None, None, None] * E[None]
+            Cs.append(-(w[2][:, :, None, None] * pp[None, None] + t + np.swapaxes(t, 0, 1)
+                        + w[0] * (DD + np.swapaxes(DD, 2, 3))))
+        return Cs, cs
 
 
 class IsotropicMatrix(_Matrix):
     """C(p) = s(p) I for a scalar family s."""
 
-    def __init__(self, scalar: _Scalar, n: int):
+    def __init__(self, scalar: _Radial, n: int):
         self.scalar = scalar
         self.n = n
 
-    def value(self, p):
-        eye = np.eye(self.n)
-        return self.scalar.value(p)[..., None, None] * eye
-
-    def d1(self, p):
-        eye = np.eye(self.n)
-        return np.einsum("ij,...k->...ijk", eye, self.scalar.d1(p))
-
-    def d2(self, p):
-        eye = np.eye(self.n)
-        return np.einsum("ij,...kl->...ijkl", eye, self.scalar.d2(p))
-
-    def d3(self, p):
-        eye = np.eye(self.n)
-        return np.einsum("ij,...klm->...ijklm", eye, self.scalar.d3(p))
+    def chain(self, p, M, order):
+        s = self.scalar.chain(p, order)
+        eye = _eye(self.n, M.ndim - 2)
+        Cs = [np.expand_dims(sj, (j, j + 1)) * eye for j, sj in enumerate(s[:order])]
+        tr = np.trace(M)
+        return Cs, [sj * tr for sj in s]
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +317,16 @@ class EnergyDensity:
 
 
 class BendingDensity(EnergyDensity):
-    """f(p, M) = 1/2 w(p) (C(p):M)^2 + b(p) with exact tensor derivatives."""
+    """f(p, M) = 1/2 w(p) (C(p):M)^2 + b(p) with exact tensor derivatives.
 
-    def __init__(self, name, weight: _Scalar | None = None, form: _Matrix | None = None,
-                 well: _Scalar | None = None):
+    With h = w c, the M-derivatives are fM = h C, fMM = w C x C and
+    fMMM = 0, and the p-derivatives follow by the product rule.  Terms that
+    vanish by structure are skipped: without weight and form only the well
+    contributes, and a constant form has no p-derivatives.
+    """
+
+    def __init__(self, name, weight: _Radial | None = None, form: _Matrix | None = None,
+                 well: _Radial | None = None):
         if (weight is None) != (form is None):
             raise ValueError("weight and form must be supplied together")
         self.name = name
@@ -372,119 +334,89 @@ class BendingDensity(EnergyDensity):
         self.form = form
         self.well = well
 
-    # helper: everything the product rule needs at the given jets, up to the
-    # requested derivative order of w and C
-    def _pieces(self, p, M, order: int = 3):
-        n = p.shape[-1]
-        base = p.shape[:-1]
-        if self.weight is None:
-            zero = np.zeros(base)
-            w = (zero, np.zeros(base + (n,)), np.zeros(base + (n, n)), np.zeros(base + (n, n, n)))
-            Cv = np.zeros(base + (n, n))
-            C = (Cv, np.zeros(base + (n,) * 3), np.zeros(base + (n,) * 4), np.zeros(base + (n,) * 5))
-            c = (zero, np.zeros(base + (n,)), np.zeros(base + (n, n)), np.zeros(base + (n, n, n)))
-            return w[:order + 1], C[:order + 1], c[:order + 1]
-        w = [self.weight.value(p)]
-        C = [self.form.value(p)]
-        if order >= 1:
-            w.append(self.weight.d1(p))
-            C.append(self.form.d1(p))
-        if order >= 2:
-            w.append(self.weight.d2(p))
-            C.append(self.form.d2(p))
-        if order >= 3:
-            w.append(self.weight.d3(p))
-            C.append(self.form.d3(p))
-        c = [np.einsum("...ij,...ij->...", C[0], M)]
-        if order >= 1:
-            c.append(np.einsum("...ijk,...ij->...k", C[1], M))
-        if order >= 2:
-            c.append(np.einsum("...ijkl,...ij->...kl", C[2], M))
-        if order >= 3:
-            c.append(np.einsum("...ijklm,...ij->...klm", C[3], M))
-        return tuple(w), tuple(C), tuple(c)
+    def _pieces(self, p, M, order: int):
+        """Slots-first jets and the chains of w, C (to order - 1), c = C : M
+        (to order) and the well b (to order, or None)."""
+        p, M = _as_jet_arrays(p, M)
+        p, M = _slots_first(p, 1), _slots_first(M, 2)
+        w = Cs = cs = None
+        if self.weight is not None:
+            w = self.weight.chain(p, order)
+            Cs, cs = self.form.chain(p, M, order)
+        b = None if self.well is None else self.well.chain(p, order)
+        return p, M, w, Cs, cs, b
 
     def value(self, p, M):
-        p, M = _as_jet_arrays(p, M)
-        w, _, c = self._pieces(p, M, order=0)
-        out = 0.5 * w[0] * c[0] ** 2
-        if self.well is not None:
-            out = out + self.well.value(p)
-        return out
+        p, M, w, _, cs, b = self._pieces(p, M, 0)
+        f = np.zeros(p.shape[1:]) if w is None else 0.5 * w[0] * cs[0] ** 2
+        return f if b is None else f + b[0]
 
     def grad(self, p, M):
-        p, M = _as_jet_arrays(p, M)
-        (w, w1), (Cv, _), (c, c1) = self._pieces(p, M, order=1)
-        fp = 0.5 * w1 * (c**2)[..., None] + (w * c)[..., None] * c1
-        if self.well is not None:
-            fp = fp + self.well.d1(p)
-        fM = (w * c)[..., None, None] * Cv
-        return fp, fM
+        p, M, w, Cs, cs, b = self._pieces(p, M, 1)
+        if w is None:
+            fp, fM = np.zeros(p.shape), np.zeros(M.shape)
+        else:
+            (w, w1), (C,), (c, c1) = w, Cs, cs
+            h = w * c
+            fp = 0.5 * c**2 * w1
+            if c1 is not None:
+                fp += h * c1
+            fM = h * C
+        if b is not None:
+            fp = fp + b[1]
+        return _slots_last(fp, 1), _slots_last(fM, 2)
 
     def hess(self, p, M):
-        p, M = _as_jet_arrays(p, M)
-        (w, w1, w2), (Cv, C1, _), (c, c1, c2) = self._pieces(p, M, order=2)
-        c2d = c[..., None, None]
-        fpp = (
-            0.5 * (c**2)[..., None, None] * w2
-            + c2d * (w1[..., :, None] * c1[..., None, :] + w1[..., None, :] * c1[..., :, None])
-            + w[..., None, None] * (c1[..., :, None] * c1[..., None, :] + c2d * c2)
-        )
-        if self.well is not None:
-            fpp = fpp + self.well.d2(p)
-        fpM = (
-            np.einsum("...k,...ij->...kij", w1 * c[..., None], Cv)
-            + np.einsum("...,...k,...ij->...kij", w, c1, Cv)
-            + np.einsum("...,...ijk->...kij", w * c, C1)
-        )
-        fMM = np.einsum("...,...ij,...kl->...ijkl", w, Cv, Cv)
-        return fpp, fpM, fMM
+        p, M, w, Cs, cs, b = self._pieces(p, M, 2)
+        n, grid = p.shape[0], p.shape[1:]
+        if w is None:
+            fpp, fpM, fMM = (np.zeros((n,) * r + grid) for r in (2, 3, 4))
+        else:
+            (w, w1, w2), (C, C1), (c, c1, c2) = w, Cs, cs
+            fpp = 0.5 * c**2 * w2
+            if c1 is None:
+                fpM = (c * w1)[:, None, None] * C[None]
+            else:
+                h = w * c
+                fpp += _sym2((c * w1 + 0.5 * w * c1)[:, None] * c1[None]) + h * c2
+                fpM = (c * w1 + w * c1)[:, None, None] * C[None] + h * C1
+            fMM = (w * C)[:, :, None, None] * C[None, None]
+        if b is not None:
+            fpp = fpp + b[2]
+        return _slots_last(fpp, 2), _slots_last(fpM, 3), _slots_last(fMM, 4)
 
     def third(self, p, M):
-        p, M = _as_jet_arrays(p, M)
-        (w, w1, w2, w3), (Cv, C1, C2, _), (c, c1, c2, c3) = self._pieces(p, M)
-        n = p.shape[-1]
-        # fppp
-        fppp = 0.5 * (c**2)[..., None, None, None] * w3
-        fppp += c[..., None, None, None] * (
-            np.einsum("...kl,...m->...klm", w2, c1)
-            + np.einsum("...km,...l->...klm", w2, c1)
-            + np.einsum("...lm,...k->...klm", w2, c1)
-        )
-        cc = np.einsum("...l,...m->...lm", c1, c1) + c[..., None, None] * c2
-        fppp += (
-            np.einsum("...k,...lm->...klm", w1, cc)
-            + np.einsum("...l,...km->...klm", w1, cc)
-            + np.einsum("...m,...kl->...klm", w1, cc)
-        )
-        fppp += w[..., None, None, None] * (
-            np.einsum("...kl,...m->...klm", c2, c1)
-            + np.einsum("...km,...l->...klm", c2, c1)
-            + np.einsum("...lm,...k->...klm", c2, c1)
-            + c[..., None, None, None] * c3
-        )
-        if self.well is not None:
-            fppp = fppp + self.well.d3(p)
-        # fppM[k,l,i,j] = d_k d_l (w c C_ij)
-        fppM = (
-            np.einsum("...kl,...,...ij->...klij", w2, c, Cv)
-            + np.einsum("...l,...k,...ij->...klij", w1, c1, Cv)
-            + np.einsum("...l,...,...ijk->...klij", w1, c, C1)
-            + np.einsum("...k,...l,...ij->...klij", w1, c1, Cv)
-            + np.einsum("...,...kl,...ij->...klij", w, c2, Cv)
-            + np.einsum("...,...l,...ijk->...klij", w, c1, C1)
-            + np.einsum("...k,...,...ijl->...klij", w1, c, C1)
-            + np.einsum("...,...k,...ijl->...klij", w, c1, C1)
-            + np.einsum("...,...ijkl->...klij", w * c, C2)
-        )
-        # fpMM[m,i,j,k,l] = d_m (w C_ij C_kl)
-        fpMM = (
-            np.einsum("...m,...ij,...kl->...mijkl", w1, Cv, Cv)
-            + np.einsum("...,...ijm,...kl->...mijkl", w, C1, Cv)
-            + np.einsum("...,...ij,...klm->...mijkl", w, Cv, C1)
-        )
-        fMMM = np.zeros(p.shape[:-1] + (n,) * 6)
-        return fppp, fppM, fpMM, fMMM
+        p, M, w, Cs, cs, b = self._pieces(p, M, 3)
+        n, grid = p.shape[0], p.shape[1:]
+        if w is None:
+            fppp, fppM, fpMM = (np.zeros((n,) * r + grid) for r in (3, 4, 5))
+        else:
+            (w, w1, w2, w3), (C, C1, C2), (c, c1, c2, c3) = w, Cs, cs
+            fppp = 0.5 * c**2 * w3
+            fpMM = w1[:, None, None, None, None] * (C[:, :, None, None] * C[None, None])[None]
+            if c1 is None:
+                fppM = (c * w2)[:, :, None, None] * C[None, None]
+            else:
+                h = w * c
+                h1 = c * w1 + w * c1  # d(w c)/dp
+                A = c * w2 + w * c2
+                B = c1[:, None] * c1[None] + c * c2
+                fppp += h * c3 + _sym3(A[:, :, None] * c1[None, None] + B[:, :, None] * w1[None, None])
+                # fppM = d^2(w c)/dp^2 C + (h1_l C1[k] + h1_k C1[l]) + h C2
+                fppM = (A + _sym2(w1[:, None] * c1[None]))[:, :, None, None] * C[None, None]
+                s = h1[None, :, None, None] * C1[:, None]
+                fppM += s
+                fppM += np.swapaxes(s, 0, 1)
+                fppM += h * C2
+                # fpMM += w (C1[m,i,j] C[k,l] + C[i,j] C1[m,k,l])
+                u = (w * C1)[:, :, :, None, None] * C[None, None, None]
+                fpMM += u
+                fpMM += np.swapaxes(np.swapaxes(u, 1, 3), 2, 4)
+        if b is not None:
+            fppp = fppp + b[3]
+        fMMM = np.zeros((n,) * 6 + grid)
+        return (_slots_last(fppp, 3), _slots_last(fppM, 4), _slots_last(fpMM, 5),
+                _slots_last(fMMM, 6))
 
 
 class NormalizedDensity(EnergyDensity):
@@ -560,6 +492,8 @@ def anisotropic(C0=None, m0: float = None, m1: float = None, n: int = 2) -> Bend
         raise ValueError("supply exactly one of C0 or (m0, m1)")
     if C0 is not None:
         C0 = np.asarray(C0, dtype=float)
+        if C0.shape != (n, n):
+            raise ValueError(f"C0 must be an {n}x{n} matrix, got shape {C0.shape}")
         if np.any(np.linalg.eigvalsh(C0) <= 0):
             raise ValueError("C0 must be positive definite")
         return BendingDensity("anisotropic", weight=PolyRadial(1.0), form=ConstMatrix(C0))

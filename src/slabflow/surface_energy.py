@@ -28,6 +28,7 @@ from .fourier import (
     SpectralField,
     TorusGrid,
     coeffs_to_samples,
+    derivative_multiplier,
     embed_coeffs,
     samples_to_coeffs,
     truncate_coeffs,
@@ -76,6 +77,17 @@ class Jet:
 # ---------------------------------------------------------------------------
 
 
+def _axis_multipliers(fine: TorusGrid) -> list[np.ndarray]:
+    """The symbol 2 pi i k of d/dx_i on the padded grid, shaped for axis i.
+
+    Its Nyquist slot is zero; that slot of the padded grid is empty after
+    `embed_coeffs` and dropped by `truncate_coeffs`, so no output sees it.
+    """
+    mult = derivative_multiplier(fine)
+    return [mult.reshape([fine.N if a == axis else 1 for a in range(fine.n)])
+            for axis in range(fine.n)]
+
+
 def derivative_tensors(eta: SpectralField, max_order: int, fine: TorusGrid | None = None):
     """Sampled derivative tensors D1..Dmax of eta on the (padded) grid.
 
@@ -86,12 +98,7 @@ def derivative_tensors(eta: SpectralField, max_order: int, fine: TorusGrid | Non
     fine = fine or grid.padded()
     base = embed_coeffs(eta.coeffs, grid, fine)
     n = grid.n
-    k1 = fine.axis_wavenumbers()
-    mults = []
-    for axis in range(n):
-        shape = [1] * n
-        shape[axis] = fine.N
-        mults.append((2j * np.pi * k1).reshape(shape))
+    mults = _axis_multipliers(fine)
 
     cache: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -122,12 +129,7 @@ def _jet_fields(eta: SpectralField, fine: TorusGrid | None = None):
 def _adjoint_jet(q: np.ndarray, N: np.ndarray, fine: TorusGrid, coarse: TorusGrid) -> SpectralField:
     """J*(q, N) = -div q + hess : N, assembled spectrally and truncated."""
     n = coarse.n
-    k1 = fine.axis_wavenumbers()
-    mults = []
-    for axis in range(n):
-        shape = [1] * n
-        shape[axis] = fine.N
-        mults.append((2j * np.pi * k1).reshape(shape))
+    mults = _axis_multipliers(fine)
     out = np.zeros(fine.shape, dtype=complex)
     for k in range(n):
         out -= mults[k] * samples_to_coeffs(q[..., k], fine)
