@@ -345,6 +345,13 @@ def cmd_validate(seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slabflow",
@@ -353,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to the JSON run configuration")
     parser.add_argument("--out", default=".", help="output directory for generated files")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="threads for mode sweeps")
+    parser.add_argument("--threads", type=_positive_int, default=1, help="threads for mode sweeps")
     parser.add_argument(
         "command",
         choices=["variations", "figure-forces", "ellipticity", "dispersion",

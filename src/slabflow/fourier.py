@@ -17,6 +17,7 @@ __all__ = [
     "TorusGrid",
     "SpectralField",
     "hermitian_scatter",
+    "mode_samples",
     "derivative_multiplier",
     "dealiased_product",
     "sqrt_neg_laplacian",
@@ -124,16 +125,14 @@ def samples_to_coeffs(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.fft.fftn(values, axes=axes) / grid.npoints
 
 
-def hermitian_scatter(grid: TorusGrid, modes: dict, tail: tuple[int, ...] = ()) -> np.ndarray:
-    """Hermitian coefficients, shape grid.shape + tail, from {wavevector: amplitude}.
+def _hermitian_terms(grid: TorusGrid, modes: dict):
+    """The Hermitian rule: (index, conjugate index or None, amplitude) per entry.
 
-    Each entry contributes a exp(2 pi i k.x) + conj(a) exp(-2 pi i k.x): k
-    goes to FFT index k mod N and its conjugate to -k; self-conjugate
-    wavevectors (k = -k mod N) take the real part.  Amplitudes are scalars
-    or arrays of shape `tail`.  A wavevector outside the retained band
+    Wavevector k goes to FFT index k mod N and its conjugate to -k mod N; a
+    self-conjugate k (k = -k mod N) has no separate conjugate and keeps the
+    real part of its amplitude.  A wavevector outside the retained band
     -N/2 < k_i <= N/2 raises ValueError instead of aliasing.
     """
-    c = np.zeros(grid.shape + tail, dtype=complex)
     for k, a in modes.items():
         kt = (int(k),) if np.isscalar(k) else tuple(int(ki) for ki in k)
         if len(kt) != grid.n:
@@ -143,11 +142,69 @@ def hermitian_scatter(grid: TorusGrid, modes: dict, tail: tuple[int, ...] = ()) 
         idx = tuple(ki % grid.N for ki in kt)
         idx_conj = tuple((-ki) % grid.N for ki in kt)
         if idx == idx_conj:
-            c[idx] += np.real(a)
+            yield idx, None, np.real(a)
         else:
-            c[idx] += a
+            yield idx, idx_conj, a
+
+
+def hermitian_scatter(grid: TorusGrid, modes: dict, tail: tuple[int, ...] = ()) -> np.ndarray:
+    """Hermitian coefficients, shape grid.shape + tail, from {wavevector: amplitude}.
+
+    Each entry contributes a exp(2 pi i k.x) + conj(a) exp(-2 pi i k.x),
+    placed by `_hermitian_terms`.  Amplitudes are scalars or arrays of
+    shape `tail`.
+    """
+    c = np.zeros(grid.shape + tail, dtype=complex)
+    for idx, idx_conj, a in _hermitian_terms(grid, modes):
+        c[idx] += a
+        if idx_conj is not None:
             c[idx_conj] += np.conj(a)
     return c
+
+
+def mode_samples(grid: TorusGrid, modes: dict, lead: tuple[int, ...] = (),
+                 tail: tuple[int, ...] = ()) -> np.ndarray:
+    """Real samples, shape lead + grid.shape + tail, of the field {wavevector: amplitude}.
+
+    The field is the one `hermitian_scatter` describes, summed directly over
+    the excited wavevectors instead of inverse transformed: each entry is
+    written as Re(w a exp(2 pi i k.x)) (w = 2 for a conjugate pair, 1 for a
+    self-conjugate k), oriented so that 0 <= k_1 <= N/2, and the sum runs one
+    horizontal axis at a time as a matrix product with exp(2 pi i k_a x_a)
+    over the distinct components k_a, the real part taken with the first
+    axis.  Amplitudes are arrays of shape lead + tail.  The cost grows with
+    the number of distinct components per axis rather than with N^n log N
+    per field, so it pays for few excited modes (the matrix-multiplication
+    transform).
+    """
+    n, N = grid.n, grid.N
+    L, T = int(np.prod(lead, dtype=int)), int(np.prod(tail, dtype=int))
+    terms = []
+    for idx, idx_conj, a in _hermitian_terms(grid, modes):
+        a = np.reshape(a, (L, T))
+        if idx_conj is None:
+            terms.append((idx, a))
+        elif idx[0] > N // 2:
+            terms.append((idx_conj, 2.0 * np.conj(a)))
+        else:
+            terms.append((idx, 2.0 * a))
+    if not terms:
+        return np.zeros(lead + grid.shape + tail)
+    # real coefficients (L, P_1, re/im, P_2.., T) over the distinct components P_a
+    comps = [sorted({idx[axis] for idx, _ in terms}) for axis in range(n)]
+    C = np.zeros((L, len(comps[0]), 2) + tuple(len(c) for c in comps[1:]) + (T,))
+    for idx, a in terms:
+        pos = tuple(c.index(i) for c, i in zip(comps, idx))
+        C[(slice(None), pos[0], slice(None)) + pos[1:]] += np.stack([a.real, a.imag], axis=1)
+    roots = np.exp(2j * np.pi * np.arange(N) / N)
+    phase = [roots[np.outer(np.arange(N), c) % N] for c in comps]  # (N, P_a)
+    if n == 2:  # (re, im) of phase * (re, im) along the second axis
+        rot = np.block([[phase[1].real, -phase[1].imag], [phase[1].imag, phase[1].real]])
+        C = rot @ C.reshape(L, len(comps[0]), -1, T)
+    # the real part along the first axis
+    first = np.stack([phase[0].real, -phase[0].imag], axis=-1).reshape(N, -1)
+    out = first @ C.reshape(L, first.shape[1], -1)
+    return out.reshape(lead + grid.shape + tail)
 
 
 def derivative_multiplier(grid: TorusGrid) -> np.ndarray:

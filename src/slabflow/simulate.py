@@ -35,7 +35,7 @@ import scipy.linalg
 from . import geometry as geo
 from . import surface_energy as se
 from .densities import EnergyDensity
-from .fourier import SpectralField, derivative_multiplier, hermitian_scatter
+from .fourier import SpectralField, derivative_multiplier, hermitian_scatter, mode_samples
 from .geometry import BulkField, FlattenedDomain
 from .stability import (ModeLayout, ModeOperator, NumericError, assemble_mode, mode_sigma,
                         solve_spectrum, time_derivative_trace)
@@ -100,12 +100,12 @@ class FlattenedState:
 
     # -- materialization ----------------------------------------------------
 
-    def _samples(self, block, tail: tuple[int, ...]) -> np.ndarray:
-        """Physical samples of one block of every mode vector, shape grid.shape + tail."""
-        grid = self.dom.horizontal
-        c = hermitian_scatter(grid, {k: x[block].reshape(tail) for k, x in self.modes.items()},
-                              tail)
-        return np.fft.ifftn(c, axes=tuple(range(grid.n))).real * grid.npoints
+    def _samples(self, block, lead: tuple[int, ...]) -> np.ndarray:
+        """Physical samples of one block of every mode vector, shape lead + (*grid, M_v)."""
+        M_v = self.dom.M_v
+        return mode_samples(self.dom.horizontal,
+                            {k: x[block].reshape(lead + (M_v,)) for k, x in self.modes.items()},
+                            lead, (M_v,))
 
     def eta(self) -> SpectralField:
         idx = self.layout.eta
@@ -114,11 +114,10 @@ class FlattenedState:
 
     def velocity(self) -> BulkField:
         lay = self.layout
-        vals = self._samples(slice(0, lay.p.start), (lay.n + 1, lay.M_v))
-        return BulkField(self.dom, np.moveaxis(vals, -2, 0))
+        return BulkField(self.dom, self._samples(slice(0, lay.p.start), (lay.n + 1,)))
 
     def pressure(self) -> BulkField:
-        return BulkField(self.dom, self._samples(self.layout.p, (self.dom.M_v,)))
+        return BulkField(self.dom, self._samples(self.layout.p, ()))
 
     # -- invariant diagnostics ----------------------------------------------
 
@@ -504,57 +503,44 @@ class Simulator:
 
         Each derivative copy carries the square root of its multiplicity,
         so every sum over copies is plain.  The copies and their horizontal
-        gradients are stacked as half spectra and pushed through one real
-        inverse transform; the surface quadratic forms reuse one Hessian
-        evaluation of the density along the jet of eta.
+        gradients are summed directly over the excited modes
+        (`fourier.mode_samples`); the surface quadratic forms reuse one
+        Hessian evaluation of the density along the jet of eta, with the
+        jets of all Q_eta copies taken in one batched round.
         """
         dom = self.dom
         n, M_v = dom.n, dom.M_v
-        nc = dom.ncomp
         grid = dom.horizontal
         eta = state.eta()
         gc = geo.geometric_coefficients(eta, dom)
         alphas = self._alpha_set()
         na = len(alphas)
 
-        # content of all copies per mode, (modes, na, nc, M_v) and (modes, na),
-        # scattered to (*grid, na, nc, M_v) and (*grid, na)
+        # content of all copies per mode, (modes, na, nc, M_v) and (modes, na)
         keys, c, u, du, _, eta_h, deta = self._profiles(state)
         factors = np.stack([np.sqrt(w) * np.prod((1j * c.kappa) ** np.asarray(ah, dtype=float),
                                                  axis=1) for _, ah, w in alphas], axis=1)
         timed = np.array([at == 1 for at, _, _ in alphas])
         vel = factors[:, :, None, None] * np.where(timed[:, None, None], du[:, None], u[:, None])
         surf = factors * np.where(timed, deta[:, None], eta_h[:, None])
-        zhat = np.moveaxis(hermitian_scatter(grid, dict(zip(keys, surf)), (na,)), -1, 0)
 
-        # spec[0] holds the copies, spec[1 + i] their d_i, as half spectra
-        # along the last horizontal axis: (1+n, na, nc, *half, M_v).  Coefficients
-        # multiply exp(2 pi i k.x) as they are, so the inverse is unscaled.
-        half = grid.shape[:-1] + (grid.N // 2 + 1,)
-        chat = hermitian_scatter(grid, dict(zip(keys, vel)),
-                                 (na, nc, M_v))[tuple(slice(h) for h in half)]
-        spec = np.empty((1 + n, na, nc) + half + (M_v,), dtype=complex)
-        spec[0] = np.moveaxis(chat, tuple(range(n)), tuple(range(2, 2 + n)))
-        mult = derivative_multiplier(grid)
-        for i in range(n):
-            shape = [1] * (2 + n + 1)
-            shape[2 + i] = half[i]
-            np.multiply(spec[0], mult[:half[i]].reshape(shape), out=spec[1 + i])
-        fields = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(3, 3 + n)), norm="forward")
+        # fields[0] holds the copies, fields[1 + i] their d_i: (1+n, na, nc, *grid, M_v)
+        ki = np.array(keys, dtype=int).reshape(len(keys), n) % grid.N
+        mult = np.concatenate([np.ones((len(keys), 1)), derivative_multiplier(grid)[ki]], axis=1)
+        amps = mult[:, :, None, None, None] * vel[:, None]
+        fields = mode_samples(grid, dict(zip(keys, amps)), amps.shape[1:-1], (M_v,))
         copies = fields[0]
         E, Dd = geo.geometric_forms(gc, copies, [*fields[1:], copies @ dom.D3.T])
 
-        # surface energies: W(eta) for the identity copy, Q_eta for the rest
+        # surface energies: W(eta) for the identity copy (alphas[0]) and Q_eta for
+        # the rest, whose jets share one transform per derivative; int zeta^2 by Parseval
         E += geo.surface_potential(self.density, self.g, eta)
+        zhat = hermitian_scatter(grid, dict(zip(keys, surf[:, 1:])), (na - 1,))
         p_j, M_j, fine = se._jet_fields(eta)
-        hess = self.density.hess(p_j, M_j)
-        for a, (at, ah, _) in enumerate(alphas):
-            if at == 0 and not any(ah):
-                continue
-            zeta = SpectralField(grid, zhat[a])
-            gp, gM, _ = se._jet_fields(zeta, fine)
-            E += 0.5 * float(np.mean(se.hessian_form(hess, gp, gM)))
-            E += 0.5 * self.g * float(np.mean(zeta.samples() ** 2))
+        D, _ = se.derivative_tensors(zhat, grid, 2, fine)
+        vals = se.hessian_form(self.density.hess(p_j, M_j), D[1], D[2])
+        E += 0.5 * float(np.sum(np.mean(vals, axis=tuple(range(1, 1 + n)))))
+        E += 0.5 * self.g * float(np.sum(np.abs(zhat) ** 2))
         return E, Dd
 
     def functionals(self, state: FlattenedState) -> dict:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.integrate import quad
 
 from .densities import EnergyDensity
 from .fourier import (
@@ -88,16 +87,20 @@ def _axis_multipliers(fine: TorusGrid) -> list[np.ndarray]:
             for axis in range(fine.n)]
 
 
-def derivative_tensors(eta: SpectralField, max_order: int, fine: TorusGrid | None = None):
-    """Sampled derivative tensors D1..Dmax of eta on the (padded) grid.
+def derivative_tensors(coeffs: np.ndarray, grid: TorusGrid, max_order: int,
+                       fine: TorusGrid | None = None):
+    """Sampled derivative tensors D1..Dmax of a stack of fields on the (padded) grid.
 
-    Returns a dict order -> array of shape grid.shape + (n,)*order, filled
-    symmetrically from the distinct spectral derivatives.
+    `coeffs` holds the fields' coefficients on `grid`, shape grid.shape +
+    batch.  Returns a dict order -> array of shape batch + fine.shape +
+    (n,)*order, filled symmetrically from the distinct spectral derivatives
+    (one transform each, shared by the whole stack), and the fine grid.
     """
-    grid = eta.grid
     fine = fine or grid.padded()
-    base = embed_coeffs(eta.coeffs, grid, fine)
     n = grid.n
+    base = embed_coeffs(coeffs, grid, fine)
+    batch = base.shape[n:]
+    base = np.moveaxis(base, tuple(range(n)), tuple(range(-n, 0)))
     mults = _axis_multipliers(fine)
 
     cache: dict[tuple[int, ...], np.ndarray] = {}
@@ -113,7 +116,7 @@ def derivative_tensors(eta: SpectralField, max_order: int, fine: TorusGrid | Non
 
     out = {}
     for order in range(1, max_order + 1):
-        D = np.zeros(fine.shape + (n,) * order)
+        D = np.zeros(batch + fine.shape + (n,) * order)
         for idx in product(range(n), repeat=order):
             multi = tuple(sum(1 for a in idx if a == ax) for ax in range(n))
             D[(Ellipsis,) + idx] = samples_of(multi)
@@ -122,7 +125,7 @@ def derivative_tensors(eta: SpectralField, max_order: int, fine: TorusGrid | Non
 
 
 def _jet_fields(eta: SpectralField, fine: TorusGrid | None = None):
-    D, fine = derivative_tensors(eta, 2, fine)
+    D, fine = derivative_tensors(eta.coeffs, eta.grid, 2, fine)
     return D[1], D[2], fine
 
 
@@ -174,7 +177,7 @@ def first_variation_expanded(f: EnergyDensity, eta: SpectralField) -> SpectralFi
     Agrees with `first_variation` up to quadrature aliasing of the
     coefficient fields; used in tests against the closed-form force curves.
     """
-    D, fine = derivative_tensors(eta, 4)
+    D, fine = derivative_tensors(eta.coeffs, eta.grid, 4)
     p, M = D[1], D[2]
     fpp, fpM, fMM = f.hess(p, M)
     fppp, fppM, fpMM, fMMM = f.third(p, M)
@@ -331,6 +334,8 @@ def taylor_split(f: EnergyDensity, order: int, z: Jet) -> tuple[float, float]:
     form R_k(z) = 1/k! int_0^1 (1-t)^k grad^(k+1) f(t z) . z^(k+1) dt,
     evaluated by adaptive quadrature to absolute tolerance 1e-12.
     """
+    from scipy.integrate import quad  # imported here: it adds ~0.3 s to `import slabflow`
+
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
     n = z.p.size

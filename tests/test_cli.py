@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from slabflow.cli import main
 
@@ -98,6 +99,15 @@ class TestDispersion:
         a = (tmp_path / "a" / "dispersion.csv").read_bytes()
         b = (tmp_path / "b" / "dispersion.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, threads, capsys):
+        path = write_config(tmp_path / "c.json", base_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", path, "--out", str(tmp_path), "dispersion", "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "dispersion.csv").exists()
 
 
 class TestSimulate:

@@ -100,9 +100,27 @@ def nonflat_state(n):
     return s, s.init_pressure(s.admissible_data(seeds))
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_geometric_pair_matches_dense_reference(n):
-    s, state = nonflat_state(n)
+def dense_state(n, kmax=6):
+    """Every representative with |k|_inf <= kmax excited, small random amplitudes."""
+    dom = FlattenedDomain(b=1.0, horizontal=TorusGrid(n, N), M_v=M_V)
+    s = sim.Simulator(dn.combo(-1.0, 0.042), -1.0, dom)
+    rng = np.random.default_rng(23 + n)
+    reps = [tuple(c - kmax for c in k) for k in np.ndindex(*[2 * kmax + 1] * n)]
+    reps = [k for k in reps if k > tuple(-c for c in k)]
+
+    def amp(scale):
+        return scale * (rng.standard_normal() + 1j * rng.standard_normal())
+
+    seeds = [sim.ModeSeed(k, eta=amp(2e-4), u=amp(1e-2)) for k in reps]
+    return s, s.init_pressure(s.admissible_data(seeds))
+
+
+@pytest.mark.parametrize("n, build", [pytest.param(1, nonflat_state, id="1"),
+                                      pytest.param(2, nonflat_state, id="2"),
+                                      pytest.param(1, dense_state, id="1-dense"),
+                                      pytest.param(2, dense_state, id="2-dense")])
+def test_geometric_pair_matches_dense_reference(n, build):
+    s, state = build(n)
     rec = s.functionals(state)
     E_ref, D_ref = reference_geometric_pair(s, state)
     assert abs(rec["E_geo"] - E_ref) <= 1e-12 * abs(E_ref)

@@ -11,7 +11,7 @@ import pytest
 
 from slabflow import densities as dn
 from slabflow import simulate as sim
-from slabflow.fourier import SpectralField, TorusGrid, hermitian_scatter
+from slabflow.fourier import SpectralField, TorusGrid, hermitian_scatter, mode_samples
 from slabflow.geometry import FlattenedDomain
 
 N, M_V = 8, 9
@@ -47,16 +47,41 @@ def state_with_mean_generic_and_nyquist(n):
     return sim.FlattenedState(dom, {zero: mean, generic: vec(), nyquist: vec()})
 
 
-@pytest.mark.parametrize("n", [1, 2])
+def edge_state(n, kind):
+    """A non-canonical key alone, both members of a pair +-k, or no mode at all."""
+    dom = FlattenedDomain(b=1.0, horizontal=TorusGrid(n, N), M_v=M_V)
+    rng = np.random.default_rng(17)
+    size = (n + 2) * M_V + 1
+
+    def vec():
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    k = (-1, 2) if n == 2 else (-3,)  # the representative is -k
+    keys = {"non-canonical": [k], "plus-minus": [k, tuple(-c for c in k)], "empty": []}[kind]
+    return sim.FlattenedState(dom, {key: vec() for key in keys})
+
+
+def make_state(n, kind):
+    if kind == "mean-generic-nyquist":
+        return state_with_mean_generic_and_nyquist(n)
+    return edge_state(n, kind)
+
+
+STATES = ([pytest.param(n, "mean-generic-nyquist", id=str(n)) for n in (1, 2)]
+          + [pytest.param(n, kind, id=f"{n}-{kind}") for kind in
+             ("non-canonical", "plus-minus", "empty") for n in (1, 2)])
+
+
+@pytest.mark.parametrize("n, kind", STATES)
 class TestMaterialisedFields:
-    def test_eta_matches_direct_sum(self, n):
-        state = state_with_mean_generic_and_nyquist(n)
+    def test_eta_matches_direct_sum(self, n, kind):
+        state = make_state(n, kind)
         grid = state.dom.horizontal
         expect = direct_sum(grid, state.modes, (n + 2) * M_V)
         assert np.max(np.abs(state.eta().samples() - expect)) <= 1e-13
 
-    def test_velocity_matches_direct_sum(self, n):
-        state = state_with_mean_generic_and_nyquist(n)
+    def test_velocity_matches_direct_sum(self, n, kind):
+        state = make_state(n, kind)
         grid = state.dom.horizontal
         vel = state.velocity().values
         assert vel.shape == (n + 1,) + grid.shape + (M_V,)
@@ -64,13 +89,42 @@ class TestMaterialisedFields:
             expect = direct_sum(grid, state.modes, slice(j * M_V, (j + 1) * M_V))
             assert np.max(np.abs(vel[j] - expect)) <= 1e-13
 
-    def test_pressure_matches_direct_sum(self, n):
-        state = state_with_mean_generic_and_nyquist(n)
+    def test_pressure_matches_direct_sum(self, n, kind):
+        state = make_state(n, kind)
         grid = state.dom.horizontal
         expect = direct_sum(grid, state.modes, slice((n + 1) * M_V, (n + 2) * M_V))
         pres = state.pressure().values
         assert pres.shape == grid.shape + (M_V,)
         assert np.max(np.abs(pres - expect)) <= 1e-13
+
+
+class TestModeSamples:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_inverse_transform_of_scatter(self, n, seed):
+        grid = TorusGrid(n, N)
+        rng = np.random.default_rng(seed)
+        ks = {tuple(int(c) for c in rng.integers(-N // 2 + 1, N // 2 + 1, size=n))
+              for _ in range(6)}
+        ks |= {(0,) * n, (N // 2,) * n}  # self-conjugate
+        modes = {k: rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)) for k in ks}
+        c = hermitian_scatter(grid, modes, (2, 3))
+        expect = np.fft.ifftn(c, axes=tuple(range(n))).real * grid.npoints
+        got = mode_samples(grid, modes, (2,), (3,))
+        assert got.shape == (2,) + grid.shape + (3,)
+        assert np.max(np.abs(np.moveaxis(got, 0, n) - expect)) <= 1e-13
+
+    def test_scalar_amplitudes_and_empty_set(self):
+        grid = TorusGrid(2, N)
+        modes = {(1, -2): 0.3 - 0.4j, (N // 2, 0): 0.5 + 2.0j}
+        expect = SpectralField.from_modes(grid, modes).samples()
+        assert np.max(np.abs(mode_samples(grid, modes) - expect)) <= 1e-14
+        assert np.array_equal(mode_samples(grid, {}, (2,), (3,)), np.zeros((2, N, N, 3)))
+
+    @pytest.mark.parametrize("k", [(N // 2 + 1, 0), (-N // 2, 0), (0, 9)])
+    def test_out_of_band_wavevector_raises(self, k):
+        with pytest.raises(ValueError, match="outside retained band"):
+            mode_samples(TorusGrid(2, N), {k: 1.0})
 
 
 class TestHermitianScatter:
