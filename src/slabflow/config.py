@@ -250,6 +250,8 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("figure.profile: must be 'tanh', 'gaussian', or 'both'")
     if figure.samples < 8 or figure.samples % 2:
         raise ConfigError("figure.samples: must be even and >= 8")
+    if figure.blend_width <= 0:
+        raise ConfigError("figure.blend_width: must be positive")
     if figure.window <= 2 * figure.blend_width + 2:
         raise ConfigError("figure.window: too short for the blend region")
 

@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from .densities import EnergyDensity
-from .fourier import SpectralField, TorusGrid, derivative_multiplier, sqrt_neg_laplacian
+from .fourier import SpectralField, TorusGrid, sqrt_neg_laplacian
 from . import surface_energy as se
 
 __all__ = [
@@ -177,35 +177,64 @@ class BulkField:
 # ---------------------------------------------------------------------------
 
 
-def _extend_coeffs(eta: SpectralField, dom: FlattenedDomain) -> np.ndarray:
-    """Spectral coefficients of E eta per vertical level, shape (*grid, Mv)."""
-    grid = eta.grid
-    kk = grid.wavevectors().astype(float)
+def _extension(coeffs: np.ndarray, dom: FlattenedDomain) -> np.ndarray:
+    """Samples (..., *grid, Mv) of the harmonic extensions of a coefficient stack.
+
+    `coeffs` holds Hermitian coefficient arrays, shape (..., *grid); each mode
+    is carried down by exp(2 pi |k| x3) and the whole stack is transformed
+    with one half-spectrum inverse FFT.
+    """
+    grid = dom.horizontal
+    half = grid.N // 2 + 1
+    kk = grid.wavevectors()[..., :half].astype(float)
     kmod = 2.0 * np.pi * np.sqrt(np.sum(kk**2, axis=0))
-    return eta.coeffs[..., None] * np.exp(kmod[..., None] * dom.x3)
+    c = coeffs[..., :half, None] * np.exp(kmod[..., None] * dom.x3)
+    return np.fft.irfftn(c, s=grid.shape, axes=tuple(range(-1 - dom.n, -1)), norm="forward")
 
 
 def harmonic_extension(eta: SpectralField, dom: FlattenedDomain) -> BulkField:
     """E eta: per-mode profile eta_hat(k) exp(2 pi |k| x3); constant for k = 0."""
-    c = _extend_coeffs(eta, dom)
-    axes = tuple(range(-1 - dom.n, -1))
-    vals = np.fft.ifftn(c, axes=axes).real * eta.grid.npoints
-    return BulkField(dom, vals)
+    return BulkField(dom, _extension(eta.coeffs, dom))
 
 
 @dataclass(frozen=True)
 class GeometricCoefficients:
-    """Flattening map data: Phi, J = det grad Phi, A = (grad Phi)^(-T), normals."""
+    """Flattening map data: J, A = (grad Phi)^(-T); Phi, grad Phi and normals on demand."""
 
     dom: FlattenedDomain
-    Phi: BulkField            # mapped positions, (n+1, *grid, Mv)
+    _ext: np.ndarray          # E eta, (*grid, Mv)
     J: BulkField              # scalar Jacobian
     A: BulkField              # (n+1, n+1, *grid, Mv)
-    grad_Phi: BulkField       # I + e3 x grad(chi E eta), (n+1, n+1, *grid, Mv)
     grad_chi_ext: BulkField   # grad(chi E eta), (n+1, *grid, Mv)
-    nu_top: np.ndarray        # (-grad eta, 1) on the top boundary, (n+1, *grid)
-    nu_bot: np.ndarray        # -e3
     min_j: float
+
+    @cached_property
+    def Phi(self) -> BulkField:
+        """Mapped positions id + chi (E eta) e3, (n+1, *grid, Mv)."""
+        dom = self.dom
+        x = np.broadcast_to(dom.horizontal.nodes()[..., None], (dom.n,) + self._ext.shape)
+        return BulkField(dom, np.concatenate([x, (dom.x3 + dom.chi * self._ext)[None]]))
+
+    @cached_property
+    def grad_Phi(self) -> BulkField:
+        """I + e3 x grad(chi E eta), (n+1, n+1, *grid, Mv)."""
+        nc = self.dom.ncomp
+        gP = np.zeros((nc, nc) + self._ext.shape)
+        gP[range(nc), range(nc)] = 1.0
+        gP[-1] += self.grad_chi_ext.values
+        return BulkField(self.dom, gP)
+
+    @cached_property
+    def nu_top(self) -> np.ndarray:
+        """(-grad eta, 1) on the top boundary, (n+1, *grid): there chi = 1, x3 = 0."""
+        nu = -self.grad_chi_ext.values[..., 0]
+        nu[-1] = 1.0
+        return nu
+
+    @property
+    def nu_bot(self) -> np.ndarray:
+        """-e3 on the bottom boundary."""
+        return np.append(np.zeros(self.dom.n), -1.0)
 
 
 def geometric_coefficients(
@@ -213,59 +242,28 @@ def geometric_coefficients(
 ) -> GeometricCoefficients:
     """All coefficients of Phi = id + chi (E eta) e3, exactly per mode.
 
+    E d_i eta, E sqrt(-lap) eta and E eta come from one stacked extension.
     Raises DomainDegenerate if min J <= min_j_floor (the map would stop
     being a diffeomorphism, or A would blow up in tests).
     """
     n = dom.n
-    nc = dom.ncomp
-    ext = harmonic_extension(eta, dom).values
-    ext_sq = harmonic_extension(sqrt_neg_laplacian(eta), dom).values
-    chi = dom.chi
-
-    grad = np.zeros((nc,) + ext.shape)
-    for i in range(n):
-        di = harmonic_extension(eta.derivative(tuple(1 if a == i else 0 for a in range(n))), dom)
-        grad[i] = chi * di.values
-    grad[n] = ext / dom.b + chi * ext_sq  # d3(chi E eta) = E eta / b + chi E sqrt(-lap) eta
+    ext = _extension(np.stack([m * eta.coeffs for m in se._axis_multipliers(dom.horizontal)]
+                              + [sqrt_neg_laplacian(eta).coeffs, eta.coeffs]), dom)
+    grad = dom.chi * ext[:n + 1]  # grad(chi E eta) = chi E (grad eta, sqrt(-lap) eta)
+    grad[n] += ext[n + 1] / dom.b  # + (d3 chi) E eta
 
     J = 1.0 + grad[n]
     min_j = float(np.min(J))
     if min_j <= min_j_floor:
         raise DomainDegenerate(min_j)
 
-    A = np.zeros((nc, nc) + ext.shape)
-    gP = np.zeros((nc, nc) + ext.shape)
-    for i in range(nc):
-        A[i, i] = 1.0
-        gP[i, i] = 1.0
-    for i in range(nc):
-        A[i, n] -= grad[i] / J
-        gP[n, i] += grad[i]
+    A = np.zeros((n + 1,) + grad.shape)
+    A[range(n + 1), range(n + 1)] = 1.0
+    A[:, n] -= grad / J
 
-    x = dom.horizontal.nodes()
-    phi = np.zeros((nc,) + ext.shape)
-    for i in range(n):
-        phi[i] = x[i][..., None]
-    phi[n] = dom.x3 + chi * ext
-
-    nu_top = np.zeros((nc,) + dom.horizontal.shape)
-    for i in range(n):
-        nu_top[i] = -eta.derivative(tuple(1 if a == i else 0 for a in range(n))).samples()
-    nu_top[n] = 1.0
-    nu_bot = np.zeros(nc)
-    nu_bot[n] = -1.0
-
-    return GeometricCoefficients(
-        dom=dom,
-        Phi=BulkField(dom, phi),
-        J=BulkField(dom, J),
-        A=BulkField(dom, A),
-        grad_Phi=BulkField(dom, gP),
-        grad_chi_ext=BulkField(dom, grad),
-        nu_top=nu_top,
-        nu_bot=nu_bot,
-        min_j=min_j,
-    )
+    return GeometricCoefficients(dom=dom, _ext=ext[n + 1], J=BulkField(dom, J),
+                                 A=BulkField(dom, A), grad_chi_ext=BulkField(dom, grad),
+                                 min_j=min_j)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +275,7 @@ def _horizontal_derivative(values: np.ndarray, dom: FlattenedDomain, axis: int) 
     """Spectral d/dx_axis per vertical level (axis < n)."""
     grid = dom.horizontal
     haxes = tuple(range(-1 - grid.n, -1))
-    c = np.fft.fftn(values, axes=haxes)
-    shape = [1] * values.ndim
-    shape[haxes[axis]] = grid.N
-    c = c * derivative_multiplier(grid).reshape(shape)
+    c = np.fft.fftn(values, axes=haxes) * se._axis_multipliers(grid)[axis][..., None]
     return np.fft.ifftn(c, axes=haxes).real
 
 

@@ -76,15 +76,15 @@ class Jet:
 # ---------------------------------------------------------------------------
 
 
-def _axis_multipliers(fine: TorusGrid) -> list[np.ndarray]:
-    """The symbol 2 pi i k of d/dx_i on the padded grid, shaped for axis i.
+def _axis_multipliers(grid: TorusGrid) -> list[np.ndarray]:
+    """The symbol 2 pi i k of d/dx_i on `grid`, shaped for axis i.
 
-    Its Nyquist slot is zero; that slot of the padded grid is empty after
+    Its Nyquist slot is zero; on the padded grid that slot is empty after
     `embed_coeffs` and dropped by `truncate_coeffs`, so no output sees it.
     """
-    mult = derivative_multiplier(fine)
-    return [mult.reshape([fine.N if a == axis else 1 for a in range(fine.n)])
-            for axis in range(fine.n)]
+    mult = derivative_multiplier(grid)
+    return [mult.reshape([grid.N if a == axis else 1 for a in range(grid.n)])
+            for axis in range(grid.n)]
 
 
 def derivative_tensors(coeffs: np.ndarray, grid: TorusGrid, max_order: int,
