@@ -504,7 +504,8 @@ class Simulator:
         Each derivative copy carries the square root of its multiplicity,
         so every sum over copies is plain.  The copies and their horizontal
         gradients are summed directly over the excited modes
-        (`fourier.mode_samples`); the surface quadratic forms reuse one
+        (`fourier.mode_samples`), the vertical derivative taken on the
+        per-mode profiles first; the surface quadratic forms reuse one
         Hessian evaluation of the density along the jet of eta, with the
         jets of all Q_eta copies taken in one batched round.
         """
@@ -512,7 +513,6 @@ class Simulator:
         n, M_v = dom.n, dom.M_v
         grid = dom.horizontal
         eta = state.eta()
-        gc = geo.geometric_coefficients(eta, dom)
         alphas = self._alpha_set()
         na = len(alphas)
 
@@ -524,13 +524,15 @@ class Simulator:
         vel = factors[:, :, None, None] * np.where(timed[:, None, None], du[:, None], u[:, None])
         surf = factors * np.where(timed, deta[:, None], eta_h[:, None])
 
-        # fields[0] holds the copies, fields[1 + i] their d_i: (1+n, na, nc, *grid, M_v)
+        # fields[0] holds the copies, fields[1 + i] their d_i: (2+n, na, nc, *grid, M_v).
+        # One synthesis keeps the record's temporaries under twice this largest array,
+        # the level above which glibc hands the freed heap top back after every record.
         ki = np.array(keys, dtype=int).reshape(len(keys), n) % grid.N
         mult = np.concatenate([np.ones((len(keys), 1)), derivative_multiplier(grid)[ki]], axis=1)
-        amps = mult[:, :, None, None, None] * vel[:, None]
+        amps = np.concatenate([mult[:, :, None, None, None] * vel[:, None],
+                               (vel @ dom.D3.T)[:, None]], axis=1)
         fields = mode_samples(grid, dict(zip(keys, amps)), amps.shape[1:-1], (M_v,))
-        copies = fields[0]
-        E, Dd = geo.geometric_forms(gc, copies, [*fields[1:], copies @ dom.D3.T])
+        E, Dd = geo.geometric_forms(geo.geometric_coefficients(eta, dom), fields[0], fields[1:])
 
         # surface energies: W(eta) for the identity copy (alphas[0]) and Q_eta for
         # the rest, whose jets share one transform per derivative; int zeta^2 by Parseval
