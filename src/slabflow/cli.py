@@ -191,6 +191,8 @@ def cmd_simulate(cfg: RunConfig, out: str) -> int:
                                       scheme=cfg.time.scheme)
     trace, final = simulator.run(state, settings)
     _write(os.path.join(out, "trace.csv"), trace.to_csv())
+    _write(os.path.join(out, "ed.csv"), _csv(["t", "ed_residual", "D_half"], zip(
+        trace.ed_t, trace.ed_residual, trace.ed_dissipation)))
     _write(os.path.join(out, "trace.gnuplot"), _plot_script("trace.csv"))
     msg = [f"simulate: {len(trace.t)} records to trace.csv"]
     if trace.ed_residual:

@@ -203,8 +203,8 @@ def parse_config(raw: dict) -> RunConfig:
     _no_leftovers(tsec, "time")
     if time.dt <= 0:
         raise ConfigError("time.dt: must be positive")
-    if time.horizon <= 0:
-        raise ConfigError("time.horizon: must be positive")
+    if time.horizon < time.dt:
+        raise ConfigError("time.horizon: must be at least time.dt")
     if time.output_interval < 1:
         raise ConfigError("time.output_interval: must be >= 1")
     if time.scheme not in ("crank-nicolson", "backward-euler"):

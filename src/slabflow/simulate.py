@@ -224,7 +224,7 @@ class SimulationSettings:
     record_ed: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= 0 or self.output_interval < 1:
+        if self.dt <= 0 or self.horizon < self.dt or self.output_interval < 1:
             raise ValueError("invalid time settings")
         if self.scheme not in ("crank-nicolson", "backward-euler"):
             raise ValueError(f"unknown scheme {self.scheme!r}")

@@ -227,15 +227,23 @@ class Spectrum:
         return float(self.eigenvalues[0].real)
 
 
+def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x by zgemm of scipy's bundled OpenBLAS, the copy `scipy.linalg` runs on;
+    numpy bundles another copy with its own thread pool, and alternating the two
+    pools lets each one's spinning workers starve the other's."""
+    return scipy.linalg.blas.zgemm(1.0, a, x.reshape(x.shape[0], -1)).reshape(x.shape)
+
+
 def solve_spectrum(op: ModeOperator) -> Spectrum:
     """Dense generalized eigensolve with residual-based spurious-mode filter."""
     try:
         w, V = scipy.linalg.eig(op.L, op.B)
     except Exception as exc:  # pragma: no cover - scipy failure paths
         raise NumericError(f"eigensolver failed at k={op.k}: {exc}") from exc
-    # residual ||L v - w B v|| / ||v|| of every finite eigenpair with a nonzero vector
+    # residual ||L v - w B v|| / ||v|| of every finite eigenpair with a nonzero vector;
+    # B is diagonal with 0/1 entries, so B V is an exact row scale
     finite = np.isfinite(w)
-    R = op.L @ V - (op.B @ V) * np.where(finite, w, 0.0)
+    R = _matmul(op.L, V) - op.B.diagonal()[:, None] * V * np.where(finite, w, 0.0)
     nv = np.linalg.norm(V, axis=0)
     res = np.linalg.norm(R, axis=0) / np.where(nv > 0.0, nv, 1.0)
     keep = np.flatnonzero(finite & (nv > 0.0) & (res <= RESIDUAL_FILTER))
@@ -257,13 +265,13 @@ def resolvent_solve(op: ModeOperator, dt: float, rhs: np.ndarray) -> np.ndarray:
     if dt <= 0:
         raise ValueError("dt must be positive")
     A = op.B / dt + op.L
-    b = (op.B @ rhs) / dt
+    b = (op.B.diagonal() * rhs.T).T / dt
     try:
         x = scipy.linalg.solve(A, b)
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(f"resolvent solve failed at k={op.k}: {exc}") from exc
     scale = np.linalg.norm(b)
-    resid = np.linalg.norm(A @ x - b)
+    resid = np.linalg.norm(_matmul(A, x) - b)
     if scale > 0 and resid > 1e-10 * max(scale, np.linalg.norm(x) / dt):
         raise NumericError(f"resolvent residual {resid:.2e} too large at k={op.k}")
     return x
