@@ -205,6 +205,9 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("time.dt: must be positive")
     if time.horizon < time.dt:
         raise ConfigError("time.horizon: must be at least time.dt")
+    steps = time.horizon / time.dt
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * round(steps):
+        raise ConfigError("time.horizon: must be a whole number of time.dt steps")
     if time.output_interval < 1:
         raise ConfigError("time.output_interval: must be >= 1")
     if time.scheme not in ("crank-nicolson", "backward-euler"):

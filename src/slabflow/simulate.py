@@ -4,9 +4,9 @@ The linearized system diagonalizes over horizontal wavevectors, so a state
 is a set of per-mode profile vectors (one conjugacy representative per
 excited wavevector; the -k content is implied by reality).  Steps are
 implicit (Crank-Nicolson by default, backward Euler optionally): each mode
-set caches the stack of its per-mode one-step propagators, and one batched
-product advances every mode; the functionals are batched over the same
-stack.
+set caches the stack of its per-mode one-step propagators, real in the
+frame u_h -> -i u_h, and one real batched product advances every mode; the
+functionals are batched over the same stack.
 
 Functionals follow three conventions:
   * equilibrium (E_eq, D_eq): quadratic forms of the unknowns and their
@@ -254,6 +254,11 @@ class Simulator:
         self._steppers: dict = {}
         self._sigmas: dict[tuple[int, ...], float] = {}
         self._mode_sets: dict[tuple, _ModeSet] = {}
+        # The real frame S: -i on the horizontal velocity blocks, 1 elsewhere.  Every
+        # complex entry of a mode operator is an i kappa_j coupling a horizontal
+        # velocity to u_3 or p, so S A S^-1 is real; S and S^-1 are exact in floats.
+        self._phase = np.ones(self.layout.dim, dtype=complex)
+        self._phase[:self.layout.u(dom.n).start] = -1j
 
     # -- operators -----------------------------------------------------------
 
@@ -362,11 +367,13 @@ class Simulator:
     # -- stepping --------------------------------------------------------------
 
     def _propagator(self, keys: tuple, dt: float, scheme: str) -> np.ndarray:
-        """One-step propagators P_k = A1^-1 A2 of a mode set, stacked (modes, dim, dim)."""
+        """One-step propagators of a mode set in the real frame, stacked (modes, dim, dim):
+        S A1^-1 A2 S^-1, factored from the real S A1 S^-1 and S A2 S^-1."""
         key = (keys, dt, scheme)
         if key not in self._steppers:
             theta = 0.5 if scheme == "crank-nicolson" else 1.0
-            P = np.empty((len(keys), self.layout.dim, self.layout.dim), dtype=complex)
+            s = self._phase
+            P = np.empty((len(keys), self.layout.dim, self.layout.dim))
             for i, kt in enumerate(keys):
                 op = self.op(kt)
                 A1 = op.B / dt + theta * op.L
@@ -381,20 +388,31 @@ class Simulator:
                     bottom = self.layout.p.stop - 1
                     A1[bottom, :] = 0.0
                     A1[bottom, bottom] = 1.0
-                P[i] = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A1), A2)
+                A1, A2 = (s[:, None] * A * s.conj() for A in (A1, A2))
+                if np.any(A1.imag) or np.any(A2.imag):
+                    raise NumericError(f"stepper matrices at k={kt} are not real in the frame")
+                P[i] = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A1.real), A2.real)
             self._steppers[key] = P
         return self._steppers[key]
+
+    def _advance(self, keys: tuple, X: np.ndarray, dt: float, scheme: str) -> np.ndarray:
+        """Mode vectors X (modes, dim) one step on, as a new array: one real batched
+        product on the real and imaginary parts of S X, a small dgemm per mode that
+        OpenBLAS keeps on the calling thread.  The k = 0 surface entry is carried."""
+        s = self._phase
+        Y = (X * s).view(float).reshape(X.shape + (2,))
+        Y = (self._propagator(keys, dt, scheme) @ Y).view(complex)[..., 0] * s.conj()
+        mean, eta = self._mode_set(keys).mean, self.layout.eta
+        Y[mean, eta] = X[mean, eta]  # mass: d_t eta_hat(0) = 0
+        Y[mean] = Y[mean].real
+        return Y
 
     def step(self, state: FlattenedState, dt: float,
              scheme: str = "crank-nicolson") -> FlattenedState:
         """One implicit step; the k = 0 surface entry is carried unchanged."""
         keys, X = state.stack()
-        mean = self._mode_set(keys).mean
-        Y = (self._propagator(keys, dt, scheme) @ X[:, :, None])[:, :, 0]
-        eta = self.layout.eta
-        Y[mean, eta] = X[mean, eta]  # mass: d_t eta_hat(0) = 0
-        Y[mean] = Y[mean].real
-        return FlattenedState(self.dom, dict(zip(keys, Y)), state.t + dt)
+        return FlattenedState(self.dom, dict(zip(keys, self._advance(keys, X, dt, scheme))),
+                              state.t + dt)
 
     # -- functionals -------------------------------------------------------------
 
@@ -434,19 +452,23 @@ class Simulator:
         out += [(0, e(i, j), 1 if i == j else 2) for i in range(n) for j in range(i, n)]
         return out
 
-    def _profiles(self, state: FlattenedState):
-        """The state's stack with its constants, and the blocks of the stack and
-        of its time derivative: the evolution equations traced on the state
-        (the construction used for initial data), with the surface average
-        frozen.  Velocities are (modes, n+1, M_v), pressures (modes, M_v)."""
-        keys, X = state.stack()
+    def _profiles(self, keys: tuple, X: np.ndarray):
+        """The constants of a stack X of mode vectors with wavevectors `keys`, and
+        the blocks of the stack and of its time derivative: the evolution
+        equations traced on the state (the construction used for initial data),
+        with the surface average frozen.  Velocities are (modes, n+1, M_v),
+        pressures (modes, M_v)."""
         c = self._mode_set(keys)
         u, p, eta = self.layout.blocks(X)
         du, _, deta = self.layout.blocks(time_derivative_trace(X, c.kappa, self.dom.D3))
-        return keys, c, u, du, p, eta, np.where(c.mean, 0.0, deta)
+        return c, u, du, p, eta, np.where(c.mean, 0.0, deta)
 
     def _equilibrium_pair(self, state: FlattenedState):
-        """E_eq and D_eq: parabolic-order-two sums of the equilibrium forms.
+        """E_eq and D_eq: parabolic-order-two sums of the equilibrium forms."""
+        return self._equilibrium_stack(*state.stack())
+
+    def _equilibrium_stack(self, keys: tuple, X: np.ndarray):
+        """E_eq and D_eq of a stack X of mode vectors with wavevectors `keys`.
 
         The horizontal-derivative copies of one mode are scalar multiples of
         it, so the sum over spatial multi-indices collapses to the factor
@@ -454,7 +476,7 @@ class Simulator:
         the only extra evaluation.
         """
         w3 = self.dom.w3
-        _, c, u, du, _, eta, deta = self._profiles(state)
+        c, u, du, _, eta, deta = self._profiles(keys, X)
         # (copy, mode): the state with factor S_k, its time derivative with 1
         U, Z = np.stack([u, du]), np.stack([eta, deta])
         f = c.weight * np.stack([1.0 + c.k2 + c.k2**2, np.ones_like(c.k2)])
@@ -469,7 +491,7 @@ class Simulator:
     def _improved_pair(self, state: FlattenedState):
         """E_imp and D_imp: the Sobolev-norm versions."""
         n, w3, D = self.dom.n, self.dom.w3, self.dom.D3
-        _, c, u, du, p, eta, deta = self._profiles(state)
+        c, u, du, p, eta, deta = self._profiles(*state.stack())
 
         def vertical_norms(f, s):
             """sum over components of w3 |D^d f|^2 for d = 0 .. s, shape (s+1, modes)."""
@@ -517,7 +539,8 @@ class Simulator:
         na = len(alphas)
 
         # content of all copies per mode, (modes, na, nc, M_v) and (modes, na)
-        keys, c, u, du, _, eta_h, deta = self._profiles(state)
+        keys, X = state.stack()
+        c, u, du, _, eta_h, deta = self._profiles(keys, X)
         factors = np.stack([np.sqrt(w) * np.prod((1j * c.kappa) ** np.asarray(ah, dtype=float),
                                                  axis=1) for _, ah, w in alphas], axis=1)
         timed = np.array([at == 1 for at, _, _ in alphas])
@@ -571,24 +594,28 @@ class Simulator:
         time-derivative copies as `functionals` (the evolution equations
         traced on the state, i.e. the initial-data construction formulas at
         every node), which keeps the residual second order in dt uniformly.
+        Between records the state stays one stacked array, advanced and
+        evaluated by the same code as `step` and `_equilibrium_pair`.
         """
         dt = settings.dt
         trace = EnergyTrace()
         nsteps = int(round(settings.horizon / dt))
         trace.append(state.t, self.functionals(state), state.mass())
-        current = state
+        current, t = state, state.t
+        keys, X = state.stack()
         if settings.record_ed:
-            E_prev, D_prev = self._equilibrium_pair(current)
+            E_prev, D_prev = self._equilibrium_stack(keys, X)
         for step_i in range(1, nsteps + 1):
-            new = self.step(current, dt, settings.scheme)
+            X = self._advance(keys, X, dt, settings.scheme)
             if settings.record_ed:
-                E_new, D_new = self._equilibrium_pair(new)
+                E_new, D_new = self._equilibrium_stack(keys, X)
                 D_half = 0.5 * (D_prev + D_new)
-                trace.ed_t.append(current.t + 0.5 * dt)
+                trace.ed_t.append(t + 0.5 * dt)
                 trace.ed_residual.append((E_new - E_prev) / dt + D_half)
                 trace.ed_dissipation.append(D_half)
                 E_prev, D_prev = E_new, D_new
-            current = new
+            t = t + dt
             if step_i % settings.output_interval == 0 or step_i == nsteps:
-                trace.append(current.t, self.functionals(current), current.mass())
+                current = FlattenedState(self.dom, dict(zip(keys, X)), t)
+                trace.append(t, self.functionals(current), current.mass())
         return trace, current

@@ -282,3 +282,85 @@ def test_residual_filter_matches_column_loop(k):
     assert np.array_equal(spec.eigenvectors, V[:, keep[order]])
     # residuals are roundoff-sized; they must agree far below the filter threshold
     assert np.max(np.abs(spec.residuals - res[order])) <= 1e-3 * st.RESIDUAL_FILTER
+
+
+# -- the real frame and the stack-resident run loop ------------------------------------
+
+
+def implicit_matrices(op, dt, scheme):
+    """The implicit pair A1 x_new = A2 x of one mode, as in `ref_factors`."""
+    theta = 0.5 if scheme == "crank-nicolson" else 1.0
+    A1 = op.B / dt + theta * op.L
+    A2 = op.B / dt - (1.0 - theta) * op.L
+    A2[np.abs(op.B).sum(axis=1) == 0.0, :] = 0.0
+    if not any(op.k):
+        bottom = (op.n + 2) * op.M_v - 1
+        A1[bottom, :] = 0.0
+        A1[bottom, bottom] = 1.0
+    return A1, A2
+
+
+def phase(op):
+    """S: -i on the horizontal velocity blocks, 1 on u_3, p and eta."""
+    s = np.ones(op.dim, dtype=complex)
+    s[:op.n * op.M_v] = -1j
+    return s
+
+
+FRAME_MODES = {1: [(0,), (3,), (N // 2,)], 2: [(0, 0), (1, -2), (N // 2, 1)]}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("n", [1, 2])
+def test_phase_makes_the_implicit_matrices_real(n, scheme):
+    """k = 0, a generic k and a Nyquist k: S A S^-1 is exactly real for both
+    implicit matrices, and the cached stack is the complex propagator in that frame."""
+    s = simulator(n)
+    keys = tuple(FRAME_MODES[n])
+    P = s._propagator(keys, 1e-3, scheme)
+    assert P.dtype == np.float64
+    assert P.shape == (len(keys), s.layout.dim, s.layout.dim)
+    for i, k in enumerate(keys):
+        op = s.op(k)
+        S = phase(op)
+        A1, A2 = implicit_matrices(op, 1e-3, scheme)
+        assert np.any(A1.imag) == any(k)  # a nonzero k has complex couplings to remove
+        for A in (A1, A2):
+            assert np.all((S[:, None] * A * S.conj()).imag == 0.0)
+        ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A1), A2)
+        back = S.conj()[:, None] * P[i] * S
+        assert np.max(np.abs(back - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("record_ed", [True, False])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_run_equals_chained_steps(name, scheme, record_ed):
+    """`run` on the stacked array, bit for bit against `step` and
+    `_equilibrium_pair` on states; the output interval 3 does not divide 7 steps."""
+    s, state = STATES[name]
+    dt, nsteps = 1e-3, 7
+    settings = sim.SimulationSettings(dt=dt, horizon=nsteps * dt, output_interval=3,
+                                      scheme=scheme, record_ed=record_ed)
+    trace, final = s.run(state, settings)
+    chain = [state]
+    for _ in range(nsteps):
+        chain.append(s.step(chain[-1], dt, scheme))
+    assert final.t == chain[-1].t
+    assert list(final.modes) == list(chain[-1].modes)
+    for k, x in chain[-1].modes.items():
+        assert np.array_equal(final.modes[k], x)
+
+    pairs = [s._equilibrium_pair(x) for x in chain]
+    records = [0, 3, 6, nsteps]
+    assert trace.t == [chain[i].t for i in records]
+    assert trace.E_eq == [pairs[i][0] for i in records]
+    assert trace.D_eq == [pairs[i][1] for i in records]
+    if record_ed:
+        half = [0.5 * (pairs[i][1] + pairs[i + 1][1]) for i in range(nsteps)]
+        assert trace.ed_t == [chain[i].t + 0.5 * dt for i in range(nsteps)]
+        assert trace.ed_dissipation == half
+        assert trace.ed_residual == [(pairs[i + 1][0] - pairs[i][0]) / dt + half[i]
+                                     for i in range(nsteps)]
+    else:
+        assert trace.ed_t == trace.ed_residual == trace.ed_dissipation == []
