@@ -19,6 +19,7 @@ __all__ = [
     "hermitian_scatter",
     "mode_samples",
     "derivative_multiplier",
+    "axis_multipliers",
     "dealiased_product",
     "sqrt_neg_laplacian",
     "random_band_limited",
@@ -219,6 +220,17 @@ def derivative_multiplier(grid: TorusGrid) -> np.ndarray:
     return mult
 
 
+def axis_multipliers(grid: TorusGrid) -> list[np.ndarray]:
+    """`derivative_multiplier` of `grid` shaped for each axis i in turn.
+
+    On a padded grid the zeroed Nyquist slot is empty after `embed_coeffs`
+    and dropped by `truncate_coeffs`, so no output of a padded product sees it.
+    """
+    mult = derivative_multiplier(grid)
+    return [mult.reshape([grid.N if a == axis else 1 for a in range(grid.n)])
+            for axis in range(grid.n)]
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """Real scalar field on the torus, held as Fourier coefficients."""
@@ -360,13 +372,12 @@ def random_band_limited(
     kmax: int,
     amplitude: float,
     rng: np.random.Generator,
-    zero_average: bool = True,
 ) -> SpectralField:
     """Random real field supported on 0 < |k|_inf <= kmax, sup-norm ~ amplitude."""
     modes = {}
     for k in np.ndindex(*[2 * kmax + 1] * grid.n):
         kt = tuple(k[i] - kmax for i in range(grid.n))
-        if all(ki == 0 for ki in kt) and zero_average:
+        if not any(kt):
             continue
         a = rng.standard_normal() + 1j * rng.standard_normal()
         modes[kt] = a

@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from .densities import EnergyDensity
-from .fourier import SpectralField, TorusGrid, sqrt_neg_laplacian
+from .fourier import SpectralField, TorusGrid, axis_multipliers, sqrt_neg_laplacian
 from . import surface_energy as se
 
 __all__ = [
@@ -42,12 +42,14 @@ __all__ = [
     "piola_residual",
     "div_theorem_residual",
     "geometric_forms",
-    "surface_potential",
     "geo_energy",
     "geo_dissipation",
     "bulk_integral",
     "bulk_sobolev_norm",
 ]
+
+
+MIN_J_FLOOR = 1e-6  # geometric_coefficients rejects maps with min J at or below this
 
 
 class DomainDegenerate(RuntimeError):
@@ -237,24 +239,22 @@ class GeometricCoefficients:
         return np.append(np.zeros(self.dom.n), -1.0)
 
 
-def geometric_coefficients(
-    eta: SpectralField, dom: FlattenedDomain, min_j_floor: float = 1e-6
-) -> GeometricCoefficients:
+def geometric_coefficients(eta: SpectralField, dom: FlattenedDomain) -> GeometricCoefficients:
     """All coefficients of Phi = id + chi (E eta) e3, exactly per mode.
 
     E d_i eta, E sqrt(-lap) eta and E eta come from one stacked extension.
-    Raises DomainDegenerate if min J <= min_j_floor (the map would stop
+    Raises DomainDegenerate if min J <= MIN_J_FLOOR (the map would stop
     being a diffeomorphism, or A would blow up in tests).
     """
     n = dom.n
-    ext = _extension(np.stack([m * eta.coeffs for m in se._axis_multipliers(dom.horizontal)]
+    ext = _extension(np.stack([m * eta.coeffs for m in axis_multipliers(dom.horizontal)]
                               + [sqrt_neg_laplacian(eta).coeffs, eta.coeffs]), dom)
     grad = dom.chi * ext[:n + 1]  # grad(chi E eta) = chi E (grad eta, sqrt(-lap) eta)
     grad[n] += ext[n + 1] / dom.b  # + (d3 chi) E eta
 
     J = 1.0 + grad[n]
     min_j = float(np.min(J))
-    if min_j <= min_j_floor:
+    if min_j <= MIN_J_FLOOR:
         raise DomainDegenerate(min_j)
 
     A = np.zeros((n + 1,) + grad.shape)
@@ -275,7 +275,7 @@ def _horizontal_derivative(values: np.ndarray, dom: FlattenedDomain, axis: int) 
     """Spectral d/dx_axis per vertical level (axis < n)."""
     grid = dom.horizontal
     haxes = tuple(range(-1 - grid.n, -1))
-    c = np.fft.fftn(values, axes=haxes) * se._axis_multipliers(grid)[axis][..., None]
+    c = np.fft.fftn(values, axes=haxes) * axis_multipliers(grid)[axis][..., None]
     return np.fft.ifftn(c, axes=haxes).real
 
 
@@ -402,16 +402,11 @@ def geometric_forms(gc: GeometricCoefficients, v: np.ndarray, grad_v):
     return 0.5 * bulk_integral(kinetic * J, dom), 0.5 * bulk_integral(dissipation * J, dom)
 
 
-def surface_potential(f: EnergyDensity, g: float, eta: SpectralField) -> float:
-    """W(eta) + g/2 int eta^2, the surface part of the zeroth-order energy."""
-    return se.energy(f, eta) + 0.5 * g * float(np.mean(eta.samples() ** 2))
-
-
 def geo_energy(u: BulkField, eta: SpectralField, f: EnergyDensity, g: float) -> float:
     """Zeroth-order geometric energy: 1/2 int |u|^2 J + W(eta) + g/2 int eta^2."""
     gc = geometric_coefficients(eta, u.dom)
     kinetic, _ = geometric_forms(gc, u.values[None], full_gradient(u).values[:, None])
-    return kinetic + surface_potential(f, g, eta)
+    return kinetic + (se.energy(f, eta) + 0.5 * g * float(np.mean(eta.samples() ** 2)))
 
 
 def geo_dissipation(u: BulkField, eta: SpectralField) -> float:

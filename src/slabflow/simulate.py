@@ -527,14 +527,13 @@ class Simulator:
         so every sum over copies is plain.  The copies and their horizontal
         gradients are summed directly over the excited modes
         (`fourier.mode_samples`), the vertical derivative taken on the
-        per-mode profiles first; the surface quadratic forms reuse one
-        Hessian evaluation of the density along the jet of eta, with the
-        jets of all Q_eta copies taken in one batched round.
+        per-mode profiles first.  One jet of the stacked surface copies, copy 0
+        being eta, gives W(eta) and, from one Hessian evaluation of the density
+        along the jet of eta, Q_eta of the other copies.
         """
         dom = self.dom
         n, M_v = dom.n, dom.M_v
         grid = dom.horizontal
-        eta = state.eta()
         alphas = self._alpha_set()
         na = len(alphas)
 
@@ -555,16 +554,18 @@ class Simulator:
         amps = np.concatenate([mult[:, :, None, None, None] * vel[:, None],
                                (vel @ dom.D3.T)[:, None]], axis=1)
         fields = mode_samples(grid, dict(zip(keys, amps)), amps.shape[1:-1], (M_v,))
+        zhat = hermitian_scatter(grid, dict(zip(keys, surf)), (na,))
+        eta = SpectralField(grid, zhat[..., 0])  # the identity copy, alphas[0]
         E, Dd = geo.geometric_forms(geo.geometric_coefficients(eta, dom), fields[0], fields[1:])
 
-        # surface energies: W(eta) for the identity copy (alphas[0]) and Q_eta for
-        # the rest, whose jets share one transform per derivative; int zeta^2 by Parseval
-        E += geo.surface_potential(self.density, self.g, eta)
-        zhat = hermitian_scatter(grid, dict(zip(keys, surf[:, 1:])), (na - 1,))
-        p_j, M_j, fine = se._jet_fields(eta)
-        D, _ = se.derivative_tensors(zhat, grid, 2, fine)
-        vals = se.hessian_form(self.density.hess(p_j, M_j), D[1], D[2])
-        E += 0.5 * float(np.sum(np.mean(vals, axis=tuple(range(1, 1 + n)))))
+        # surface energies from one jet of all copies, one transform per derivative:
+        # W(eta) for copy 0 and Q_eta for the rest; int zeta^2 by Parseval
+        D, _ = se.derivative_tensors(zhat, grid, 2)
+        p, M = D[1][0], D[2][0]
+        W = self.density.value(p, M)
+        se.check_finite(self.density, W)
+        vals = se.hessian_form(self.density.hess(p, M), D[1][1:], D[2][1:])
+        E += float(np.mean(W)) + 0.5 * float(np.sum(np.mean(vals, axis=tuple(range(1, 1 + n)))))
         E += 0.5 * self.g * float(np.sum(np.abs(zhat) ** 2))
         return E, Dd
 

@@ -18,7 +18,9 @@ J*(q, N) = -div q + hess : N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
+from math import factorial
 
 import numpy as np
 
@@ -26,8 +28,8 @@ from .densities import EnergyDensity
 from .fourier import (
     SpectralField,
     TorusGrid,
+    axis_multipliers,
     coeffs_to_samples,
-    derivative_multiplier,
     embed_coeffs,
     samples_to_coeffs,
     truncate_coeffs,
@@ -76,32 +78,20 @@ class Jet:
 # ---------------------------------------------------------------------------
 
 
-def _axis_multipliers(grid: TorusGrid) -> list[np.ndarray]:
-    """The symbol 2 pi i k of d/dx_i on `grid`, shaped for axis i.
-
-    Its Nyquist slot is zero; on the padded grid that slot is empty after
-    `embed_coeffs` and dropped by `truncate_coeffs`, so no output sees it.
-    """
-    mult = derivative_multiplier(grid)
-    return [mult.reshape([grid.N if a == axis else 1 for a in range(grid.n)])
-            for axis in range(grid.n)]
-
-
-def derivative_tensors(coeffs: np.ndarray, grid: TorusGrid, max_order: int,
-                       fine: TorusGrid | None = None):
-    """Sampled derivative tensors D1..Dmax of a stack of fields on the (padded) grid.
+def derivative_tensors(coeffs: np.ndarray, grid: TorusGrid, max_order: int):
+    """Sampled derivative tensors D1..Dmax of a stack of fields on the padded grid.
 
     `coeffs` holds the fields' coefficients on `grid`, shape grid.shape +
     batch.  Returns a dict order -> array of shape batch + fine.shape +
     (n,)*order, filled symmetrically from the distinct spectral derivatives
-    (one transform each, shared by the whole stack), and the fine grid.
+    (one transform each, shared by the whole stack), and the padded grid.
     """
-    fine = fine or grid.padded()
+    fine = grid.padded()
     n = grid.n
     base = embed_coeffs(coeffs, grid, fine)
     batch = base.shape[n:]
     base = np.moveaxis(base, tuple(range(n)), tuple(range(-n, 0)))
-    mults = _axis_multipliers(fine)
+    mults = axis_multipliers(fine)
 
     cache: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -124,15 +114,25 @@ def derivative_tensors(coeffs: np.ndarray, grid: TorusGrid, max_order: int,
     return out, fine
 
 
-def _jet_fields(eta: SpectralField, fine: TorusGrid | None = None):
-    D, fine = derivative_tensors(eta.coeffs, eta.grid, 2, fine)
+def _jet_fields(*fields: SpectralField):
+    """Gradients and Hessians of the stacked fields on the padded grid, field index first."""
+    grid = fields[0].grid
+    if any(other.grid != grid for other in fields):
+        raise ValueError("fields live on different grids")
+    D, fine = derivative_tensors(np.stack([fld.coeffs for fld in fields], axis=-1), grid, 2)
     return D[1], D[2], fine
+
+
+def check_finite(f: EnergyDensity, *arrays: np.ndarray):
+    """Raise EvaluationError unless every array evaluated along the jet is finite."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise EvaluationError(f"density {f.name} non-finite along the jet")
 
 
 def _adjoint_jet(q: np.ndarray, N: np.ndarray, fine: TorusGrid, coarse: TorusGrid) -> SpectralField:
     """J*(q, N) = -div q + hess : N, assembled spectrally and truncated."""
     n = coarse.n
-    mults = _axis_multipliers(fine)
+    mults = axis_multipliers(fine)
     out = np.zeros(fine.shape, dtype=complex)
     for k in range(n):
         out -= mults[k] * samples_to_coeffs(q[..., k], fine)
@@ -149,10 +149,9 @@ def _adjoint_jet(q: np.ndarray, N: np.ndarray, fine: TorusGrid, coarse: TorusGri
 
 def energy(f: EnergyDensity, eta: SpectralField) -> float:
     """W(eta): quadrature of f along the jet on the padded grid."""
-    p, M, fine = _jet_fields(eta)
+    (p,), (M,), _ = _jet_fields(eta)
     vals = f.value(p, M)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError(f"density {f.name} non-finite along the jet")
+    check_finite(f, vals)
     return float(np.mean(vals))
 
 
@@ -164,10 +163,9 @@ def first_variation(f: EnergyDensity, eta: SpectralField) -> SpectralField:
     nodes carries no aliasing error, so finite differences of `energy`
     match this field to the order of the differencing alone.
     """
-    p, M, fine = _jet_fields(eta)
+    (p,), (M,), fine = _jet_fields(eta)
     fp, fM = f.grad(p, M)
-    if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fM))):
-        raise EvaluationError(f"density {f.name} non-finite along the jet")
+    check_finite(f, fp, fM)
     return _adjoint_jet(fp, fM, fine, eta.grid)
 
 
@@ -187,23 +185,18 @@ def first_variation_expanded(f: EnergyDensity, eta: SpectralField) -> SpectralFi
         vals += np.einsum("...klijrs,...ijl,...rsk->...", fMMM, D[3], D[3])
     vals += 2.0 * np.einsum("...nklij,...ijl,...nk->...", fpMM, D[3], D[2])
     vals += np.einsum("...mnkl,...nk,...ml->...", fppM, D[2], D[2])
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError(f"density {f.name} non-finite along the jet")
+    check_finite(f, vals)
     coeffs = truncate_coeffs(samples_to_coeffs(vals, fine), fine, eta.grid)
     return SpectralField(eta.grid, coeffs)
 
 
 def second_variation_apply(f: EnergyDensity, eta: SpectralField, phi: SpectralField) -> SpectralField:
     """(d2W(eta)) phi = J*(hess f(J eta) . J phi)."""
-    if phi.grid != eta.grid:
-        raise ValueError("eta and phi live on different grids")
-    p, M, fine = _jet_fields(eta)
-    gp, gM, _ = _jet_fields(phi, fine)
+    (p, gp), (M, gM), fine = _jet_fields(eta, phi)
     fpp, fpM, fMM = f.hess(p, M)
     q = np.einsum("...kl,...l->...k", fpp, gp) + np.einsum("...kij,...ij->...k", fpM, gM)
     N = np.einsum("...lij,...l->...ij", fpM, gp) + np.einsum("...ijkl,...kl->...ij", fMM, gM)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(N))):
-        raise EvaluationError(f"density {f.name} non-finite along the jet")
+    check_finite(f, q, N)
     return _adjoint_jet(q, N, fine, eta.grid)
 
 
@@ -211,11 +204,7 @@ def third_variation_apply(
     f: EnergyDensity, eta: SpectralField, phi: SpectralField, psi: SpectralField
 ) -> SpectralField:
     """(d3W(eta))(phi, psi) = J*(third f(J eta) . (J phi x J psi))."""
-    if phi.grid != eta.grid or psi.grid != eta.grid:
-        raise ValueError("fields live on different grids")
-    p, M, fine = _jet_fields(eta)
-    gp, gM, _ = _jet_fields(phi, fine)
-    hp, hM, _ = _jet_fields(psi, fine)
+    (p, gp, hp), (M, gM, hM), fine = _jet_fields(eta, phi, psi)
     fppp, fppM, fpMM, fMMM = f.third(p, M)
     q = np.einsum("...klm,...l,...m->...k", fppp, gp, hp)
     q += np.einsum("...klij,...l,...ij->...k", fppM, gp, hM)
@@ -226,6 +215,7 @@ def third_variation_apply(
     N += np.einsum("...mijkl,...m,...kl->...ij", fpMM, hp, gM)
     if fMMM.any():
         N += np.einsum("...ijklrs,...kl,...rs->...ij", fMMM, gM, hM)
+    check_finite(f, q, N)
     return _adjoint_jet(q, N, fine, eta.grid)
 
 
@@ -244,13 +234,9 @@ def hessian_form(hess, gp: np.ndarray, gM: np.ndarray) -> np.ndarray:
 
 def quad_energy(f: EnergyDensity, eta: SpectralField, zeta: SpectralField) -> float:
     """Quadratic approximation Q_eta(zeta) = 1/2 int hess f(J eta).(J zeta x J zeta)."""
-    if zeta.grid != eta.grid:
-        raise ValueError("eta and zeta live on different grids")
-    p, M, fine = _jet_fields(eta)
-    gp, gM, _ = _jet_fields(zeta, fine)
+    (p, gp), (M, gM), _ = _jet_fields(eta, zeta)
     vals = hessian_form(f.hess(p, M), gp, gM)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError(f"density {f.name} non-finite along the jet")
+    check_finite(f, vals)
     return 0.5 * float(np.mean(vals))
 
 
@@ -315,16 +301,23 @@ def ellipticity_check(f: EnergyDensity, g: float, kmax: int, n: int = 2) -> Elli
 
 def _contract_grad(grad, p, M):
     fp, fM = grad
-    return float(np.einsum("k,k->", fp, p) + np.einsum("ij,ij->", fM, M))
+    return np.einsum("...k,k->...", fp, p) + np.einsum("...ij,ij->...", fM, M)
 
 
 def _contract_third(third, p, M):
     fppp, fppM, fpMM, fMMM = third
-    out = np.einsum("klm,k,l,m->", fppp, p, p, p)
-    out += 3.0 * np.einsum("klij,k,l,ij->", fppM, p, p, M)
-    out += 3.0 * np.einsum("mijkl,m,ij,kl->", fpMM, p, M, M)
-    out += np.einsum("ijklrs,ij,kl,rs->", fMMM, M, M, M)
-    return float(out)
+    out = np.einsum("...klm,k,l,m->...", fppp, p, p, p)
+    out += 3.0 * np.einsum("...klij,k,l,ij->...", fppM, p, p, M)
+    out += 3.0 * np.einsum("...mijkl,m,ij,kl->...", fpMM, p, M, M)
+    out += np.einsum("...ijklrs,ij,kl,rs->...", fMMM, M, M, M)
+    return out
+
+
+@cache
+def _unit_gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the m-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def taylor_split(f: EnergyDensity, order: int, z: Jet) -> tuple[float, float]:
@@ -332,42 +325,30 @@ def taylor_split(f: EnergyDensity, order: int, z: Jet) -> tuple[float, float]:
 
     P_k is the degree-k Taylor polynomial; the remainder is the integral
     form R_k(z) = 1/k! int_0^1 (1-t)^k grad^(k+1) f(t z) . z^(k+1) dt,
-    evaluated by adaptive quadrature to absolute tolerance 1e-12.
+    evaluated by 24- and 48-point Gauss-Legendre rules, one batched
+    derivative call each.  The 48-point value is returned; EvaluationError
+    if it is not finite or differs from the 24-point value by more than
+    1e-9 max(1, |R|).
     """
-    from scipy.integrate import quad  # imported here: it adds ~0.3 s to `import slabflow`
-
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
     n = z.p.size
-    p1 = z.p[None, :]
-    M1 = z.M[None, :, :]
     f0, grad0, hess0 = f.at_origin(n)
 
     poly = f0
     if order >= 1:
-        poly += _contract_grad(grad0, z.p, z.M)
+        poly += float(_contract_grad(grad0, z.p, z.M))
     if order >= 2:
         poly += 0.5 * float(hessian_form(hess0, z.p, z.M))
 
-    if order == 0:
-
-        def integrand(t):
-            fp, fM = f.grad(t * p1, t * M1)
-            return _contract_grad((fp[0], fM[0]), z.p, z.M)
-
-    elif order == 1:
-
-        def integrand(t):
-            fpp, fpM, fMM = f.hess(t * p1, t * M1)
-            return (1.0 - t) * float(hessian_form((fpp[0], fpM[0], fMM[0]), z.p, z.M))
-
-    else:
-
-        def integrand(t):
-            parts = f.third(t * p1, t * M1)
-            return 0.5 * (1.0 - t) ** 2 * _contract_third(tuple(a[0] for a in parts), z.p, z.M)
-
-    remainder, err = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    if not np.isfinite(remainder) or err > 1e-9 * max(1.0, abs(remainder)):
+    derivative = (f.grad, f.hess, f.third)[order]
+    contract = (_contract_grad, hessian_form, _contract_third)[order]
+    rules = []
+    for m in (24, 48):
+        t, w = _unit_gauss_legendre(m)
+        vals = contract(derivative(t[:, None] * z.p, t[:, None, None] * z.M), z.p, z.M)
+        rules.append(float(np.sum(w * (1.0 - t) ** order * vals)) / factorial(order))
+    coarse, remainder = rules
+    if not np.isfinite(remainder) or abs(remainder - coarse) > 1e-9 * max(1.0, abs(remainder)):
         raise EvaluationError("remainder quadrature failed to converge")
-    return float(poly), float(remainder)
+    return float(poly), remainder

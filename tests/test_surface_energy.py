@@ -355,3 +355,39 @@ class TestTaylorSplit:
     def test_asymmetric_jet_rejected(self):
         with pytest.raises(ValueError):
             se.Jet(np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("p", [(0.4, -0.3), (1.2, 0.9), (2.0, 0.0), (0.0, 3.0)])
+    def test_area_remainders_closed_form(self, p):
+        # f = sqrt(1 + |p|^2) - 1 has f(0) = 0, grad f(0) = 0 and hess f(0) = I
+        p = np.array(p)
+        z = se.Jet(p, np.zeros((2, 2)))
+        r1 = np.sqrt(1.0 + p @ p) - 1.0
+        for k, exact in ((0, r1), (1, r1), (2, r1 - 0.5 * p @ p)):
+            _, R = se.taylor_split(dn.area(1.0), k, z)
+            assert abs(R - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+class TestNonFiniteJet:
+    """C(p) = sqrt(1 - |p|^2) I is undefined where the slope exceeds one."""
+
+    F = dn.anisotropic(m0=1.0, m1=-1.0)
+
+    @staticmethod
+    def steep():
+        return SpectralField.from_modes(TorusGrid(2, 16), {(1, 0): 0.25})  # slope up to pi
+
+    CALLS = {
+        "energy": lambda f, e: se.energy(f, e),
+        "first_variation": lambda f, e: se.first_variation(f, e),
+        "second_variation_apply": lambda f, e: se.second_variation_apply(f, e, e),
+        "third_variation_apply": lambda f, e: se.third_variation_apply(f, e, e, e),
+        "quad_energy": lambda f, e: se.quad_energy(f, e, e),
+        "taylor_split": lambda f, e: se.taylor_split(
+            f, 2, se.Jet(np.array([2.0, 0.0]), np.eye(2))),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_raises_evaluation_error(self, name):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(se.EvaluationError):
+                self.CALLS[name](self.F, self.steep())
