@@ -383,12 +383,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
         os.makedirs(args.out, exist_ok=True)
-        try:
-            density_probe = cfg.density()  # surface parameter errors as config errors
-        except ValueError as exc:
-            print(f"config error: density: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        del density_probe
         if args.command == "variations":
             return cmd_variations(cfg, args.out)
         if args.command == "figure-forces":

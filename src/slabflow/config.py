@@ -33,10 +33,26 @@ def _no_leftovers(d: dict, path: str):
         raise ConfigError(f"{path}: unknown key(s) {sorted(d)}")
 
 
+def _section(d: dict, path: str, default=None):
+    """A copy of the object at `path`, whose last part is its key in d.
+
+    An absent or null section gives `default`.
+    """
+    v = d.pop(path.rsplit(".", 1)[-1], None)
+    if v is None:
+        return default
+    if not isinstance(v, dict):
+        raise ConfigError(f"{path}: expected an object")
+    return dict(v)
+
+
 def _as_float(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {v!r}")
-    out = float(v)
+    try:
+        out = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"{path}: value must be finite")
     return out
@@ -50,7 +66,7 @@ def _as_int(v, path: str) -> int:
 
 def _as_complex(v, path: str) -> complex:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
+        return complex(_as_float(v, path))
     if isinstance(v, list) and len(v) == 2:
         return complex(_as_float(v[0], path), _as_float(v[1], path))
     raise ConfigError(f"{path}: expected a number or [re, im] pair")
@@ -158,6 +174,8 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("density: expected an object")
     dens = dict(dens)
     family = _take(dens, "density", "family", required=True)
+    if not isinstance(family, str):
+        raise ConfigError(f"density.family: expected a string, got {family!r}")
     if family not in densities.DENSITY_FAMILIES:
         raise ConfigError(
             f"density.family: unknown family {family!r}; "
@@ -176,7 +194,7 @@ def parse_config(raw: dict) -> RunConfig:
     if depth <= 0:
         raise ConfigError("depth: must be positive")
 
-    gsec = dict(_take(raw, "top level", "grid", {}) or {})
+    gsec = _section(raw, "grid", {})
     grid = GridSection(
         n=_as_int(_take(gsec, "grid", "n", 2), "grid.n"),
         N=_as_int(_take(gsec, "grid", "N", 32), "grid.N"),
@@ -192,8 +210,14 @@ def parse_config(raw: dict) -> RunConfig:
     if "matrix" in density_params:
         density_params["matrix"] = _as_square_matrix(density_params["matrix"], "density.matrix",
                                                      grid.n)
+    try:
+        densities._build_from_params(density_params, n=grid.n)
+    except KeyError as exc:
+        raise ConfigError(f"density: family {family!r} needs parameter {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ConfigError(f"density: {exc}") from None
 
-    tsec = dict(_take(raw, "top level", "time", {}) or {})
+    tsec = _section(raw, "time", {})
     time = TimeSection(
         dt=_as_float(_take(tsec, "time", "dt", 1e-3), "time.dt"),
         horizon=_as_float(_take(tsec, "time", "horizon", 5.0), "time.horizon"),
@@ -213,11 +237,14 @@ def parse_config(raw: dict) -> RunConfig:
     if time.scheme not in ("crank-nicolson", "backward-euler"):
         raise ConfigError("time.scheme: must be 'crank-nicolson' or 'backward-euler'")
 
-    idata = dict(_take(raw, "top level", "initial_data", {}) or {})
+    idata = _section(raw, "initial_data", {})
     modes = _parse_mode_list(_take(idata, "initial_data", "modes", None), "initial_data.modes", grid)
-    eig = _take(idata, "initial_data", "eigenmode", None)
+    for i, m in enumerate(modes):
+        if not any(m.k) and m.eta != 0:
+            raise ConfigError(f"initial_data.modes[{i}].eta: must be 0 at k = 0 "
+                              "(the elevation has zero average)")
+    eig = _section(idata, "initial_data.eigenmode")
     if eig is not None:
-        eig = dict(eig)
         eig_parsed = {
             "k": _as_wavevector(_take(eig, "initial_data.eigenmode", "k", required=True),
                                 "initial_data.eigenmode.k", grid),
@@ -238,7 +265,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("kmax: must be >= 1")
     seed = _as_int(_take(raw, "top level", "seed", 0), "seed")
 
-    fsec = dict(_take(raw, "top level", "figure", {}) or {})
+    fsec = _section(raw, "figure", {})
     figure = FigureSection(
         profile=_take(fsec, "figure", "profile", "both"),
         window=_as_float(_take(fsec, "figure", "window", 20.0), "figure.window"),
@@ -258,7 +285,7 @@ def parse_config(raw: dict) -> RunConfig:
     if figure.window <= 2 * figure.blend_width + 2:
         raise ConfigError("figure.window: too short for the blend region")
 
-    vsec = dict(_take(raw, "top level", "variations", {}) or {})
+    vsec = _section(raw, "variations", {})
     var_eta = _parse_mode_list(_take(vsec, "variations", "eta_modes", None),
                                "variations.eta_modes", grid)
     var_phi = _parse_mode_list(_take(vsec, "variations", "phi_modes", None),

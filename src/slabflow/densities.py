@@ -488,7 +488,7 @@ def anisotropic(C0=None, m0: float = None, m1: float = None, n: int = 2) -> Bend
     are given, with C(p) = sqrt(m0 + m1 |p|^2) I, which reproduces the
     scalar bending family.
     """
-    if (C0 is None) == (m0 is None):
+    if (C0 is None) == (m0 is None) or (C0 is not None and m1 is not None):
         raise ValueError("supply exactly one of C0 or (m0, m1)")
     if C0 is not None:
         C0 = np.asarray(C0, dtype=float)
@@ -527,9 +527,8 @@ def _build_from_params(params: dict, n: int = 2) -> EnergyDensity:
     if family == "scalar-willmore":
         return scalar_willmore(params.pop("m0", 1.0), params.pop("m1", 0.0), n=n)
     if family == "anisotropic":
-        if "matrix" in params:
-            return anisotropic(C0=params.pop("matrix"), n=n)
-        return anisotropic(m0=params.pop("m0"), m1=params.pop("m1", 0.0), n=n)
+        return anisotropic(params.pop("matrix", None), params.pop("m0", None),
+                           params.pop("m1", None), n=n)
     if family == "combo":
         return combo(params.pop("alpha"), params.pop("beta"))
     raise ValueError(f"unknown density family {family!r}")

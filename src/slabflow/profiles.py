@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import surface_energy as se
 from .densities import EnergyDensity, willmore
+# embed_coeffs and truncate_coeffs stay importable: perfbench/tracing.py wraps them here.
 from .fourier import TorusGrid, coeffs_to_samples, embed_coeffs, \
     samples_to_coeffs, truncate_coeffs
 
@@ -60,38 +62,17 @@ def windowed_profile(win: LineWindow, shape: str) -> np.ndarray:
     return base * win.blend()
 
 
-def _physical_jets(win: LineWindow, values: np.ndarray, fine: TorusGrid):
-    """(eta, eta', eta'') on the padded grid, physical-length scaling."""
-    grid = win.grid
-    c = samples_to_coeffs(values, grid)
-    cf = embed_coeffs(c, grid, fine)
-    k = fine.axis_wavenumbers().astype(float)
-    mult = 2j * np.pi * k / win.length
-    eta = coeffs_to_samples(cf, fine)
-    d1 = coeffs_to_samples(cf * mult, fine)
-    d2 = coeffs_to_samples(cf * mult**2, fine)
-    return eta, d1, d2
-
-
 def windowed_energy(win: LineWindow, f: EnergyDensity, values: np.ndarray) -> float:
     """int f(eta', eta'') dx over the window (padded-grid quadrature)."""
-    fine = win.grid.padded()
-    _, d1, d2 = _physical_jets(win, values, fine)
-    vals = f.value(d1[:, None], d2[:, None, None])
-    return float(np.mean(vals)) * win.length
+    D, _ = se.derivative_tensors(samples_to_coeffs(values, win.grid), win.grid, 2)
+    return float(np.mean(f.value(D[1] / win.length, D[2] / win.length**2))) * win.length
 
 
 def line_first_variation(win: LineWindow, f: EnergyDensity, values: np.ndarray) -> np.ndarray:
     """dW/d eta as a function on the window, adjoint form with 1/L scalings."""
-    grid = win.grid
-    fine = grid.padded()
-    _, d1, d2 = _physical_jets(win, values, fine)
-    fp, fM = f.grad(d1[:, None], d2[:, None, None])
-    k = fine.axis_wavenumbers().astype(float)
-    mult = 2j * np.pi * k / win.length
-    out = -mult * samples_to_coeffs(fp[:, 0], fine)
-    out += mult**2 * samples_to_coeffs(fM[:, 0, 0], fine)
-    return coeffs_to_samples(truncate_coeffs(out, fine, grid), grid)
+    D, fine = se.derivative_tensors(samples_to_coeffs(values, win.grid), win.grid, 2)
+    fp, fM = f.grad(D[1] / win.length, D[2] / win.length**2)
+    return se.adjoint_jet(fp / win.length, fM / win.length**2, fine, win.grid).samples()
 
 
 def force_columns(win: LineWindow, shape: str, alpha: float, beta: float,

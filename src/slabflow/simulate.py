@@ -37,6 +37,7 @@ from . import surface_energy as se
 from .densities import EnergyDensity
 from .fourier import SpectralField, derivative_multiplier, hermitian_scatter, mode_samples
 from .geometry import BulkField, FlattenedDomain
+# perfbench/tracing.py wraps assemble_mode and solve_spectrum on this module.
 from .stability import (ModeLayout, ModeOperator, NumericError, assemble_mode, mode_sigma,
                         solve_spectrum, time_derivative_trace)
 
@@ -250,9 +251,9 @@ class Simulator:
         self.g = float(g)
         self.dom = dom
         self.layout = ModeLayout(dom.n, dom.M_v)
-        self._ops: dict[tuple[int, ...], ModeOperator] = {}
+        # The only per-mode stores; `op` and `sigma` rebuild on every call, since a
+        # cached operator would keep two complex dim x dim matrices per mode alive.
         self._steppers: dict = {}
-        self._sigmas: dict[tuple[int, ...], float] = {}
         self._mode_sets: dict[tuple, _ModeSet] = {}
         # The real frame S: -i on the horizontal velocity blocks, 1 elsewhere.  Every
         # complex entry of a mode operator is an i kappa_j coupling a horizontal
@@ -263,16 +264,11 @@ class Simulator:
     # -- operators -----------------------------------------------------------
 
     def sigma(self, k) -> float:
-        kt = tuple(int(ki) for ki in np.atleast_1d(k))
-        if kt not in self._sigmas:
-            self._sigmas[kt] = mode_sigma(self.density, self.g, kt, self.dom.n)
-        return self._sigmas[kt]
+        return mode_sigma(self.density, self.g, np.atleast_1d(k), self.dom.n)
 
     def op(self, k) -> ModeOperator:
         kt = tuple(int(ki) for ki in np.atleast_1d(k))
-        if kt not in self._ops:
-            self._ops[kt] = assemble_mode(kt, self.dom.b, self.sigma(kt), self.dom.M_v)
-        return self._ops[kt]
+        return assemble_mode(kt, self.dom.b, self.sigma(kt), self.dom.M_v)
 
     # -- initial data ----------------------------------------------------------
 

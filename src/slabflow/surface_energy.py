@@ -129,7 +129,7 @@ def check_finite(f: EnergyDensity, *arrays: np.ndarray):
         raise EvaluationError(f"density {f.name} non-finite along the jet")
 
 
-def _adjoint_jet(q: np.ndarray, N: np.ndarray, fine: TorusGrid, coarse: TorusGrid) -> SpectralField:
+def adjoint_jet(q: np.ndarray, N: np.ndarray, fine: TorusGrid, coarse: TorusGrid) -> SpectralField:
     """J*(q, N) = -div q + hess : N, assembled spectrally and truncated."""
     n = coarse.n
     mults = axis_multipliers(fine)
@@ -166,7 +166,7 @@ def first_variation(f: EnergyDensity, eta: SpectralField) -> SpectralField:
     (p,), (M,), fine = _jet_fields(eta)
     fp, fM = f.grad(p, M)
     check_finite(f, fp, fM)
-    return _adjoint_jet(fp, fM, fine, eta.grid)
+    return adjoint_jet(fp, fM, fine, eta.grid)
 
 
 def first_variation_expanded(f: EnergyDensity, eta: SpectralField) -> SpectralField:
@@ -197,7 +197,7 @@ def second_variation_apply(f: EnergyDensity, eta: SpectralField, phi: SpectralFi
     q = np.einsum("...kl,...l->...k", fpp, gp) + np.einsum("...kij,...ij->...k", fpM, gM)
     N = np.einsum("...lij,...l->...ij", fpM, gp) + np.einsum("...ijkl,...kl->...ij", fMM, gM)
     check_finite(f, q, N)
-    return _adjoint_jet(q, N, fine, eta.grid)
+    return adjoint_jet(q, N, fine, eta.grid)
 
 
 def third_variation_apply(
@@ -216,7 +216,7 @@ def third_variation_apply(
     if fMMM.any():
         N += np.einsum("...ijklrs,...kl,...rs->...ij", fMMM, gM, hM)
     check_finite(f, q, N)
-    return _adjoint_jet(q, N, fine, eta.grid)
+    return adjoint_jet(q, N, fine, eta.grid)
 
 
 def hessian_form(hess, gp: np.ndarray, gM: np.ndarray) -> np.ndarray:

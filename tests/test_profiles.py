@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from slabflow import profiles as pf
-from slabflow.densities import area, willmore
+from slabflow import surface_energy as se
+from slabflow.densities import area, combo, willmore
+from slabflow.fourier import random_band_limited
 
 
 def gaussian_bending_force(x):
@@ -102,3 +104,14 @@ class TestFDOracle:
         force = pf.line_first_variation(win, area(1.0), vals)
         oracle = pf.fd_force_oracle(win, area(1.0), vals)
         assert np.max(np.abs(force - oracle)) <= 1e-5 * np.max(np.abs(force))
+
+
+@pytest.mark.parametrize("density", [willmore(), combo(0.7, 1.3)], ids=["willmore", "combo"])
+def test_unit_window_matches_surface_first_variation(density):
+    """On a window of length 1 the physical and torus derivatives coincide, so
+    the line force is the first variation of `surface_energy` on the 1-D torus."""
+    win = pf.LineWindow(1.0, 64)
+    eta = random_band_limited(win.grid, 6, 0.05, np.random.default_rng(11))
+    line = pf.line_first_variation(win, density, eta.samples())
+    torus = se.first_variation(density, eta).samples()
+    assert np.max(np.abs(line - torus)) <= 1e-13 * np.max(np.abs(torus))
