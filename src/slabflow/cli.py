@@ -62,6 +62,22 @@ def _domain(cfg: RunConfig) -> FlattenedDomain:
                            M_v=cfg.grid.M_v)
 
 
+def _fd_check(exact: float, F, eta: SpectralField, phi: SpectralField):
+    """Central differences (F(eta + eps phi) - F(eta - eps phi)) / (2 eps) against
+    `exact` for eps = 1e-3 / 2^i, i < 7: the (eps, error) rows, the log-log slope
+    of the errors above the roundoff floor (nan unless three are), and the
+    relative mismatch at eps = 1e-4."""
+    fd = lambda eps: (F(eta + eps * phi) - F(eta - eps * phi)) / (2 * eps)
+    rows = [(eps, abs(fd(eps) - exact)) for eps in [1e-3 / 2**i for i in range(7)]]
+    errs = np.array([r[1] for r in rows])
+    good = errs > 1e-14 * max(1.0, abs(exact))
+    slope = float("nan")
+    if good.sum() >= 3:
+        le, lr = np.log([r[0] for r in rows]), np.log(errs)
+        slope = float(np.polyfit(le[good], lr[good], 1)[0])
+    return rows, slope, abs(fd(1e-4) - exact) / max(abs(exact), 1e-300)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -84,31 +100,25 @@ def cmd_variations(cfg: RunConfig, out: str) -> int:
     rows = zip(*flat, eta.samples().ravel(), dw.samples().ravel(), d2w.samples().ravel())
     _write(os.path.join(out, "variations.csv"), _csv(header, rows))
 
-    # finite-difference validation report
-    W = lambda e: se.energy(density, e)
-    pair1 = dw.l2_inner(phi)
-    eps_list = [1e-3 / 2**i for i in range(7)]
-    rows1 = []
-    for eps in eps_list:
-        fd = (W(eta + eps * phi) - W(eta - eps * phi)) / (2 * eps)
-        rows1.append((eps, abs(fd - pair1)))
-    errs = np.array([r[1] for r in rows1])
-    good = errs > 1e-14 * max(1.0, abs(pair1))
-    slope1 = float("nan")
-    if good.sum() >= 3:
-        le, lr = np.log([r[0] for r in rows1]), np.log(errs)
-        slope1 = float(np.polyfit(le[good], lr[good], 1)[0])
-    fd4 = (W(eta + 1e-4 * phi) - W(eta - 1e-4 * phi)) / 2e-4
-    mismatch = abs(fd4 - pair1) / max(abs(pair1), 1e-300)
+    # finite-difference validation report: <dW(eta), phi> against central differences
+    # of W, and <d2W(eta) phi, phi> against central differences of <dW, phi>
+    pair1, pair2 = dw.l2_inner(phi), d2w.l2_inner(phi)
+    rows1, slope1, mismatch = _fd_check(pair1, lambda e: se.energy(density, e), eta, phi)
+    _, slope2, mismatch2 = _fd_check(
+        pair2, lambda e: se.first_variation(density, e).l2_inner(phi), eta, phi)
     report = ["quantity,value",
               f"pairing_first_variation,{_fmt(pair1)}",
               f"fd_slope_first_variation,{_fmt(slope1)}",
               f"relative_mismatch_eps_1e-4,{_fmt(mismatch)}"]
     for eps, err in rows1:
         report.append(f"fd_error_eps_{eps:g},{_fmt(err)}")
+    report += [f"pairing_second_variation,{_fmt(pair2)}",
+               f"fd_slope_second_variation,{_fmt(slope2)}",
+               f"relative_mismatch_second_variation_eps_1e-4,{_fmt(mismatch2)}"]
     _write(os.path.join(out, "variations_report.csv"), "\n".join(report) + "\n")
     print(f"variations: wrote variations.csv ({grid.N}^{grid.n} samples), "
-          f"fd slope {slope1:.3f}, mismatch @1e-4 {mismatch:.2e}")
+          f"fd slope {slope1:.3f}, mismatch @1e-4 {mismatch:.2e}; "
+          f"second variation fd slope {slope2:.3f}, mismatch @1e-4 {mismatch2:.2e}")
     return EXIT_OK
 
 
@@ -300,9 +310,8 @@ def _validation_suite(seed: int):
     eta = random_band_limited(grid, 3, 0.05, rng)
     phi = random_band_limited(grid, 3, 0.05, rng)
     pair = se.first_variation(density, eta).l2_inner(phi)
-    eps = 1e-4
-    fd = (se.energy(density, eta + eps * phi) - se.energy(density, eta - eps * phi)) / (2 * eps)
-    out.append(("gradient_consistency", abs(fd - pair) / max(abs(pair), 1e-300), 1e-6))
+    _, _, mismatch = _fd_check(pair, lambda e: se.energy(density, e), eta, phi)
+    out.append(("gradient_consistency", mismatch, 1e-6))
     sym = se.hessian_symbol(density, 0.0, (1, 0))
     out.append(("willmore_symbol", abs(sym - 16 * np.pi**4) / (16 * np.pi**4), 1e-10))
 

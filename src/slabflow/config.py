@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import densities
 from .densities import EnergyDensity
@@ -164,6 +164,18 @@ def _parse_mode_list(raw, path: str, grid: GridSection) -> tuple[ModeEntry, ...]
     return tuple(out)
 
 
+def _parse_section(raw: dict, path: str, cls):
+    """The section `path` of raw as a `cls`: each field taken with its default and
+    converted by the type of that default, a str taken as it is."""
+    sec = _section(raw, path, {})
+    convert = {float: _as_float, int: _as_int, str: lambda v, _: v}
+    out = cls(**{f.name: convert[type(f.default)](_take(sec, path, f.name, f.default),
+                                                  f"{path}.{f.name}")
+                 for f in fields(cls)})
+    _no_leftovers(sec, path)
+    return out
+
+
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
@@ -194,13 +206,7 @@ def parse_config(raw: dict) -> RunConfig:
     if depth <= 0:
         raise ConfigError("depth: must be positive")
 
-    gsec = _section(raw, "grid", {})
-    grid = GridSection(
-        n=_as_int(_take(gsec, "grid", "n", 2), "grid.n"),
-        N=_as_int(_take(gsec, "grid", "N", 32), "grid.N"),
-        M_v=_as_int(_take(gsec, "grid", "M_v", 24), "grid.M_v"),
-    )
-    _no_leftovers(gsec, "grid")
+    grid = _parse_section(raw, "grid", GridSection)
     if grid.n not in (1, 2):
         raise ConfigError("grid.n: must be 1 or 2")
     if grid.N < 8 or grid.N % 2:
@@ -217,14 +223,7 @@ def parse_config(raw: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"density: {exc}") from None
 
-    tsec = _section(raw, "time", {})
-    time = TimeSection(
-        dt=_as_float(_take(tsec, "time", "dt", 1e-3), "time.dt"),
-        horizon=_as_float(_take(tsec, "time", "horizon", 5.0), "time.horizon"),
-        output_interval=_as_int(_take(tsec, "time", "output_interval", 10), "time.output_interval"),
-        scheme=_take(tsec, "time", "scheme", "crank-nicolson"),
-    )
-    _no_leftovers(tsec, "time")
+    time = _parse_section(raw, "time", TimeSection)
     if time.dt <= 0:
         raise ConfigError("time.dt: must be positive")
     if time.horizon < time.dt:
@@ -265,17 +264,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("kmax: must be >= 1")
     seed = _as_int(_take(raw, "top level", "seed", 0), "seed")
 
-    fsec = _section(raw, "figure", {})
-    figure = FigureSection(
-        profile=_take(fsec, "figure", "profile", "both"),
-        window=_as_float(_take(fsec, "figure", "window", 20.0), "figure.window"),
-        blend_width=_as_float(_take(fsec, "figure", "blend_width", 2.0), "figure.blend_width"),
-        samples=_as_int(_take(fsec, "figure", "samples", 1024), "figure.samples"),
-        alpha=_as_float(_take(fsec, "figure", "alpha", 1.0), "figure.alpha"),
-        beta=_as_float(_take(fsec, "figure", "beta", 1.0), "figure.beta"),
-        displacement=_as_float(_take(fsec, "figure", "displacement", 0.05), "figure.displacement"),
-    )
-    _no_leftovers(fsec, "figure")
+    figure = _parse_section(raw, "figure", FigureSection)
     if figure.profile not in ("tanh", "gaussian", "both"):
         raise ConfigError("figure.profile: must be 'tanh', 'gaussian', or 'both'")
     if figure.samples < 8 or figure.samples % 2:

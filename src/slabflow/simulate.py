@@ -1,12 +1,12 @@
 """Time integration of the linearized slab flow and its energy bookkeeping.
 
 The linearized system diagonalizes over horizontal wavevectors, so a state
-is a set of per-mode profile vectors (one conjugacy representative per
+is one stack of per-mode profile vectors (one conjugacy representative per
 excited wavevector; the -k content is implied by reality).  Steps are
 implicit (Crank-Nicolson by default, backward Euler optionally): each mode
 set caches the stack of its per-mode one-step propagators, real in the
 frame u_h -> -i u_h, and one real batched product advances every mode; the
-functionals are batched over the same stack.
+functionals are batched over the state's stack.
 
 Functionals follow three conventions:
   * equilibrium (E_eq, D_eq): quadratic forms of the unknowns and their
@@ -27,6 +27,7 @@ residual second order in dt uniformly in time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -72,32 +73,44 @@ def _canonical_mode(k, n: int) -> tuple[tuple[int, ...], bool]:
     return kt, False
 
 
-@dataclass
 class FlattenedState:
-    """Bulk velocity and pressure plus surface elevation on the fixed strip."""
+    """Bulk velocity and pressure plus surface elevation on the fixed strip.
 
-    dom: FlattenedDomain
-    modes: dict[tuple[int, ...], np.ndarray]
-    t: float = 0.0
+    The state is one complex stack X of mode vectors, shape (modes, dim), row i
+    holding the mode of wavevector keys[i]; `modes` is the {k: row} view of X,
+    whose rows write through to the stack.
+    """
+
+    def __init__(self, dom: FlattenedDomain, modes: dict, t: float = 0.0):
+        self.dom, self.keys, self.t = dom, tuple(modes), t
+        X = np.array(list(modes.values()), dtype=complex)
+        self.X = X.reshape(len(self.keys), self.layout.dim)
+
+    def _like(self, X: np.ndarray, t: float) -> "FlattenedState":
+        """The state of the same wavevectors with stack X at time t, built without a dict."""
+        out = object.__new__(FlattenedState)
+        out.dom, out.keys, out.X, out.t = self.dom, self.keys, X, t
+        return out
 
     def copy(self) -> "FlattenedState":
-        return FlattenedState(self.dom, {k: v.copy() for k, v in self.modes.items()}, self.t)
+        return self._like(self.X.copy(), self.t)
+
+    @cached_property
+    def modes(self) -> dict[tuple[int, ...], np.ndarray]:
+        return dict(zip(self.keys, self.X))
 
     @property
     def layout(self) -> ModeLayout:
         return ModeLayout(self.dom.n, self.dom.M_v)
 
     def stack(self) -> tuple[tuple, np.ndarray]:
-        """The wavevectors and their mode vectors stacked as rows, shape (modes, dim)."""
-        keys = tuple(self.modes)
-        X = np.array(list(self.modes.values()), dtype=complex)
-        return keys, X.reshape(len(keys), self.layout.dim)
+        """The wavevectors and the stack of their mode vectors, not copied."""
+        return self.keys, self.X
 
     def _velocity_stack(self):
         """Velocity blocks (modes, n+1, M_v) and kappa = 2 pi k (modes, n) of the stack."""
-        keys, X = self.stack()
-        u, _, _ = self.layout.blocks(X)
-        return u, 2.0 * np.pi * np.array(keys, dtype=float).reshape(len(keys), self.dom.n)
+        u, _, _ = self.layout.blocks(self.X)
+        return u, 2.0 * np.pi * np.array(self.keys, dtype=float).reshape(len(self.keys), self.dom.n)
 
     # -- materialization ----------------------------------------------------
 
@@ -123,10 +136,8 @@ class FlattenedState:
     # -- invariant diagnostics ----------------------------------------------
 
     def mass(self) -> float:
-        k0 = (0,) * self.dom.n
-        if k0 not in self.modes:
-            return 0.0
-        return float(self.modes[k0][self.layout.eta].real)
+        x = self.modes.get((0,) * self.dom.n)
+        return 0.0 if x is None else float(x[self.layout.eta].real)
 
     def divergence_residual(self) -> float:
         u, kappa = self._velocity_stack()
@@ -160,14 +171,8 @@ class EnergyTrace:
     ed_dissipation: list = field(default_factory=list)
 
     def append(self, t, rec, mass):
-        self.t.append(t)
-        self.E_eq.append(rec["E_eq"])
-        self.D_eq.append(rec["D_eq"])
-        self.E_imp.append(rec["E_imp"])
-        self.D_imp.append(rec["D_imp"])
-        self.E_geo.append(rec["E_geo"])
-        self.D_geo.append(rec["D_geo"])
-        self.mass.append(mass)
+        for name, value in {"t": t, **rec, "mass": mass}.items():
+            getattr(self, name).append(value)
 
     def ed_relative_residual(self) -> float:
         """max |r_n| normalized by the largest midpoint dissipation."""
@@ -180,12 +185,10 @@ class EnergyTrace:
 
     def to_csv(self) -> str:
         """CSV with 17 significant digits, LF endings."""
-        lines = ["t,E_eq,D_eq,E_imp,D_imp,E_geo,mass"]
-        for i in range(len(self.t)):
-            row = [self.t[i], self.E_eq[i], self.D_eq[i], self.E_imp[i],
-                   self.D_imp[i], self.E_geo[i], self.mass[i]]
-            lines.append(",".join(format(v, ".17g") for v in row))
-        return "\n".join(lines) + "\n"
+        header = "t,E_eq,D_eq,E_imp,D_imp,E_geo,mass"
+        rows = zip(*(getattr(self, name) for name in header.split(",")))
+        return "\n".join([header] + [",".join(format(v, ".17g") for v in row)
+                                     for row in rows]) + "\n"
 
 
 class FitError(RuntimeError):
@@ -344,13 +347,11 @@ class Simulator:
             kappa = 2.0 * np.pi * np.asarray(kt, dtype=float)
             k2 = float(np.dot(kappa, kappa))
             u3 = x[lay.u(dom.n)]
-            eta_h = x[lay.eta]
-            A = D2 - k2 * np.eye(M_v)
+            A = (D2 - k2 * np.eye(M_v)).astype(complex)
             rhs = np.zeros(M_v, dtype=complex)
-            A = A.astype(complex)
             A[0, :] = 0.0
             A[0, 0] = 1.0
-            rhs[0] = 2.0 * (D @ u3)[0] + self.sigma(kt) * eta_h
+            rhs[0] = 2.0 * (D @ u3)[0] + self.sigma(kt) * x[lay.eta]
             A[-1, :] = D[-1, :]
             rhs[-1] = (D2 @ u3)[-1] - k2 * u3[-1]
             p = np.linalg.solve(A, rhs)
@@ -391,24 +392,19 @@ class Simulator:
             self._steppers[key] = P
         return self._steppers[key]
 
-    def _advance(self, keys: tuple, X: np.ndarray, dt: float, scheme: str) -> np.ndarray:
-        """Mode vectors X (modes, dim) one step on, as a new array: one real batched
-        product on the real and imaginary parts of S X, a small dgemm per mode that
-        OpenBLAS keeps on the calling thread.  The k = 0 surface entry is carried."""
+    def step(self, state: FlattenedState, dt: float,
+             scheme: str = "crank-nicolson") -> FlattenedState:
+        """One implicit step, as a new state: one real batched product on the real
+        and imaginary parts of S X, a small dgemm per mode that OpenBLAS keeps on
+        the calling thread.  The k = 0 surface entry is carried unchanged."""
+        keys, X = state.stack()
         s = self._phase
         Y = (X * s).view(float).reshape(X.shape + (2,))
         Y = (self._propagator(keys, dt, scheme) @ Y).view(complex)[..., 0] * s.conj()
         mean, eta = self._mode_set(keys).mean, self.layout.eta
         Y[mean, eta] = X[mean, eta]  # mass: d_t eta_hat(0) = 0
         Y[mean] = Y[mean].real
-        return Y
-
-    def step(self, state: FlattenedState, dt: float,
-             scheme: str = "crank-nicolson") -> FlattenedState:
-        """One implicit step; the k = 0 surface entry is carried unchanged."""
-        keys, X = state.stack()
-        return FlattenedState(self.dom, dict(zip(keys, self._advance(keys, X, dt, scheme))),
-                              state.t + dt)
+        return state._like(Y, state.t + dt)
 
     # -- functionals -------------------------------------------------------------
 
@@ -448,23 +444,19 @@ class Simulator:
         out += [(0, e(i, j), 1 if i == j else 2) for i in range(n) for j in range(i, n)]
         return out
 
-    def _profiles(self, keys: tuple, X: np.ndarray):
-        """The constants of a stack X of mode vectors with wavevectors `keys`, and
-        the blocks of the stack and of its time derivative: the evolution
-        equations traced on the state (the construction used for initial data),
-        with the surface average frozen.  Velocities are (modes, n+1, M_v),
-        pressures (modes, M_v)."""
+    def _profiles(self, state: FlattenedState):
+        """The constants of the state's mode set, and the blocks of its stack and
+        of its time derivative: the evolution equations traced on the state (the
+        construction used for initial data), with the surface average frozen.
+        Velocities are (modes, n+1, M_v), pressures (modes, M_v)."""
+        keys, X = state.stack()
         c = self._mode_set(keys)
         u, p, eta = self.layout.blocks(X)
         du, _, deta = self.layout.blocks(time_derivative_trace(X, c.kappa, self.dom.D3))
         return c, u, du, p, eta, np.where(c.mean, 0.0, deta)
 
     def _equilibrium_pair(self, state: FlattenedState):
-        """E_eq and D_eq: parabolic-order-two sums of the equilibrium forms."""
-        return self._equilibrium_stack(*state.stack())
-
-    def _equilibrium_stack(self, keys: tuple, X: np.ndarray):
-        """E_eq and D_eq of a stack X of mode vectors with wavevectors `keys`.
+        """E_eq and D_eq: parabolic-order-two sums of the equilibrium forms.
 
         The horizontal-derivative copies of one mode are scalar multiples of
         it, so the sum over spatial multi-indices collapses to the factor
@@ -472,7 +464,7 @@ class Simulator:
         the only extra evaluation.
         """
         w3 = self.dom.w3
-        c, u, du, _, eta, deta = self._profiles(keys, X)
+        c, u, du, _, eta, deta = self._profiles(state)
         # (copy, mode): the state with factor S_k, its time derivative with 1
         U, Z = np.stack([u, du]), np.stack([eta, deta])
         f = c.weight * np.stack([1.0 + c.k2 + c.k2**2, np.ones_like(c.k2)])
@@ -487,7 +479,7 @@ class Simulator:
     def _improved_pair(self, state: FlattenedState):
         """E_imp and D_imp: the Sobolev-norm versions."""
         n, w3, D = self.dom.n, self.dom.w3, self.dom.D3
-        c, u, du, p, eta, deta = self._profiles(*state.stack())
+        c, u, du, p, eta, deta = self._profiles(state)
 
         def vertical_norms(f, s):
             """sum over components of w3 |D^d f|^2 for d = 0 .. s, shape (s+1, modes)."""
@@ -534,8 +526,8 @@ class Simulator:
         na = len(alphas)
 
         # content of all copies per mode, (modes, na, nc, M_v) and (modes, na)
-        keys, X = state.stack()
-        c, u, du, _, eta_h, deta = self._profiles(keys, X)
+        keys = state.keys
+        c, u, du, _, eta_h, deta = self._profiles(state)
         factors = np.stack([np.sqrt(w) * np.prod((1j * c.kappa) ** np.asarray(ah, dtype=float),
                                                  axis=1) for _, ah, w in alphas], axis=1)
         timed = np.array([at == 1 for at, _, _ in alphas])
@@ -551,16 +543,16 @@ class Simulator:
                                (vel @ dom.D3.T)[:, None]], axis=1)
         fields = mode_samples(grid, dict(zip(keys, amps)), amps.shape[1:-1], (M_v,))
         zhat = hermitian_scatter(grid, dict(zip(keys, surf)), (na,))
-        eta = SpectralField(grid, zhat[..., 0])  # the identity copy, alphas[0]
-        E, Dd = geo.geometric_forms(geo.geometric_coefficients(eta, dom), fields[0], fields[1:])
+        copies = [SpectralField(grid, zhat[..., a]) for a in range(na)]  # copies[0] is eta
+        E, Dd = geo.geometric_forms(geo.geometric_coefficients(copies[0], dom),
+                                    fields[0], fields[1:])
 
         # surface energies from one jet of all copies, one transform per derivative:
         # W(eta) for copy 0 and Q_eta for the rest; int zeta^2 by Parseval
-        D, _ = se.derivative_tensors(zhat, grid, 2)
-        p, M = D[1][0], D[2][0]
-        W = self.density.value(p, M)
+        gp, gM, _ = se._jet_fields(*copies)
+        W = self.density.value(gp[0], gM[0])
         se.check_finite(self.density, W)
-        vals = se.hessian_form(self.density.hess(p, M), D[1][1:], D[2][1:])
+        vals = se.hessian_form(self.density.hess(gp[0], gM[0]), gp[1:], gM[1:])
         E += float(np.mean(W)) + 0.5 * float(np.sum(np.mean(vals, axis=tuple(range(1, 1 + n)))))
         E += 0.5 * self.g * float(np.sum(np.abs(zhat) ** 2))
         return E, Dd
@@ -591,28 +583,23 @@ class Simulator:
         time-derivative copies as `functionals` (the evolution equations
         traced on the state, i.e. the initial-data construction formulas at
         every node), which keeps the residual second order in dt uniformly.
-        Between records the state stays one stacked array, advanced and
-        evaluated by the same code as `step` and `_equilibrium_pair`.
         """
         dt = settings.dt
         trace = EnergyTrace()
         nsteps = int(round(settings.horizon / dt))
         trace.append(state.t, self.functionals(state), state.mass())
-        current, t = state, state.t
-        keys, X = state.stack()
         if settings.record_ed:
-            E_prev, D_prev = self._equilibrium_stack(keys, X)
+            E_prev, D_prev = self._equilibrium_pair(state)
         for step_i in range(1, nsteps + 1):
-            X = self._advance(keys, X, dt, settings.scheme)
+            t = state.t
+            state = self.step(state, dt, settings.scheme)
             if settings.record_ed:
-                E_new, D_new = self._equilibrium_stack(keys, X)
+                E_new, D_new = self._equilibrium_pair(state)
                 D_half = 0.5 * (D_prev + D_new)
                 trace.ed_t.append(t + 0.5 * dt)
                 trace.ed_residual.append((E_new - E_prev) / dt + D_half)
                 trace.ed_dissipation.append(D_half)
                 E_prev, D_prev = E_new, D_new
-            t = t + dt
             if step_i % settings.output_interval == 0 or step_i == nsteps:
-                current = FlattenedState(self.dom, dict(zip(keys, X)), t)
-                trace.append(t, self.functionals(current), current.mass())
-        return trace, current
+                trace.append(state.t, self.functionals(state), state.mass())
+        return trace, state
