@@ -65,16 +65,17 @@ def _domain(cfg: RunConfig) -> FlattenedDomain:
 def _fd_check(exact: float, F, eta: SpectralField, phi: SpectralField):
     """Central differences (F(eta + eps phi) - F(eta - eps phi)) / (2 eps) against
     `exact` for eps = 1e-3 / 2^i, i < 7: the (eps, error) rows, the log-log slope
-    of the errors above the roundoff floor (nan unless three are), and the
-    relative mismatch at eps = 1e-4."""
+    of the leading errors that keep falling (each at most half the one before and
+    above the roundoff floor; nan unless three do), and the relative mismatch at
+    eps = 1e-4.  Past those errors the differences measure cancellation in F."""
     fd = lambda eps: (F(eta + eps * phi) - F(eta - eps * phi)) / (2 * eps)
     rows = [(eps, abs(fd(eps) - exact)) for eps in [1e-3 / 2**i for i in range(7)]]
-    errs = np.array([r[1] for r in rows])
-    good = errs > 1e-14 * max(1.0, abs(exact))
+    eps, errs = np.array(rows).T
+    good = np.logical_and.accumulate(np.r_[True, errs[1:] <= 0.5 * errs[:-1]]
+                                     & (errs > 1e-14 * max(1.0, abs(exact))))
     slope = float("nan")
     if good.sum() >= 3:
-        le, lr = np.log([r[0] for r in rows]), np.log(errs)
-        slope = float(np.polyfit(le[good], lr[good], 1)[0])
+        slope = float(np.polyfit(np.log(eps[good]), np.log(errs[good]), 1)[0])
     return rows, slope, abs(fd(1e-4) - exact) / max(abs(exact), 1e-300)
 
 

@@ -236,7 +236,7 @@ class SimulationSettings:
 
 @dataclass(frozen=True)
 class _ModeSet:
-    """Per-mode constants of one mode set, in the order of its stack."""
+    """Per-mode constants of one mode set, in the order of its stack, and its propagators."""
 
     kappa: np.ndarray   # 2 pi k, (modes, n)
     k2: np.ndarray      # |kappa|^2
@@ -244,6 +244,7 @@ class _ModeSet:
     weight: np.ndarray  # 1 at k = 0, 2 for a conjugate pair
     mean: np.ndarray    # k = 0
     hs: np.ndarray      # (4, 4, modes), see Simulator._mode_set
+    propagators: dict = field(default_factory=dict)  # (dt, scheme) -> Simulator._propagator
 
 
 class Simulator:
@@ -254,9 +255,8 @@ class Simulator:
         self.g = float(g)
         self.dom = dom
         self.layout = ModeLayout(dom.n, dom.M_v)
-        # The only per-mode stores; `op` and `sigma` rebuild on every call, since a
+        # The only per-mode store; `op` and `sigma` rebuild on every call, since a
         # cached operator would keep two complex dim x dim matrices per mode alive.
-        self._steppers: dict = {}
         self._mode_sets: dict[tuple, _ModeSet] = {}
         # The real frame S: -i on the horizontal velocity blocks, 1 elsewhere.  Every
         # complex entry of a mode operator is an i kappa_j coupling a horizontal
@@ -270,8 +270,7 @@ class Simulator:
         return mode_sigma(self.density, self.g, np.atleast_1d(k), self.dom.n)
 
     def op(self, k) -> ModeOperator:
-        kt = tuple(int(ki) for ki in np.atleast_1d(k))
-        return assemble_mode(kt, self.dom.b, self.sigma(kt), self.dom.M_v)
+        return assemble_mode(np.atleast_1d(k), self.dom.b, self.sigma(k), self.dom.M_v)
 
     # -- initial data ----------------------------------------------------------
 
@@ -366,31 +365,22 @@ class Simulator:
     def _propagator(self, keys: tuple, dt: float, scheme: str) -> np.ndarray:
         """One-step propagators of a mode set in the real frame, stacked (modes, dim, dim):
         S A1^-1 A2 S^-1, factored from the real S A1 S^-1 and S A2 S^-1."""
-        key = (keys, dt, scheme)
-        if key not in self._steppers:
+        c = self._mode_set(keys)
+        if (dt, scheme) not in c.propagators:
             theta = 0.5 if scheme == "crank-nicolson" else 1.0
             s = self._phase
             P = np.empty((len(keys), self.layout.dim, self.layout.dim))
             for i, kt in enumerate(keys):
-                op = self.op(kt)
+                op = assemble_mode(kt, self.dom.b, c.sigma[i], self.dom.M_v)
                 A1 = op.B / dt + theta * op.L
                 A2 = op.B / dt - (1.0 - theta) * op.L
-                # constraint rows (no mass) must hold at the new time exactly
-                algebraic = np.where(np.abs(op.B).sum(axis=1) == 0.0)[0]
-                A2[algebraic, :] = 0.0
-                if all(c == 0 for c in kt):
-                    # the k = 0 pressure is fixed only up to a constant and its
-                    # divergence rows are dependent: gauge p(bottom) = 0 instead
-                    # of the bottom-node divergence row
-                    bottom = self.layout.p.stop - 1
-                    A1[bottom, :] = 0.0
-                    A1[bottom, bottom] = 1.0
+                A2[op.B.diagonal() == 0.0] = 0.0  # constraint rows hold at the new time exactly
                 A1, A2 = (s[:, None] * A * s.conj() for A in (A1, A2))
                 if np.any(A1.imag) or np.any(A2.imag):
                     raise NumericError(f"stepper matrices at k={kt} are not real in the frame")
                 P[i] = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A1.real), A2.real)
-            self._steppers[key] = P
-        return self._steppers[key]
+            c.propagators[dt, scheme] = P
+        return c.propagators[dt, scheme]
 
     def step(self, state: FlattenedState, dt: float,
              scheme: str = "crank-nicolson") -> FlattenedState:

@@ -17,7 +17,8 @@ the kinematic coupling, and it closes the (n+2) M_v + 1 square system.
 
 The k = 0 branch freezes eta_hat (zero-average normalization): horizontal
 mean flow relaxes with its own no-slip/free-slip rates and carries no
-surface dynamics.
+surface dynamics; its pressure, fixed only up to a constant, is gauged by
+p(bottom) = 0 in place of the dependent bottom-node divergence row.
 """
 
 from __future__ import annotations
@@ -160,58 +161,47 @@ def assemble_mode(k, b: float, sigma: float, M_v: int) -> ModeOperator:
     xi, Dxi = chebyshev_lobatto(M_v)
     x3 = b * (xi - 1.0) / 2.0
     D = (2.0 / b) * Dxi
-    D2 = D @ D
     kappa = 2.0 * np.pi * np.asarray(kt, dtype=float)
     k2 = float(np.dot(kappa, kappa))
-    eye = np.eye(M_v)
+    ik = 1j * kappa[:, None, None] * np.eye(M_v)  # i kappa_j on the diagonal, (n, M_v, M_v)
 
+    # Entries are added once onto zeros, so zeros stay +0.0 (zggev's roundoff sees the sign)
+    # unless assigned.  Lb[i, r, j]: row r of block i (u_1 .. u_n, w = u_3, p) by block j.
     lay = ModeLayout(n, M_v)
     L = np.zeros((lay.dim, lay.dim), dtype=complex)
-    B = np.zeros((lay.dim, lay.dim), dtype=complex)
-    su, sp, ie = lay.u, lay.p, lay.eta
-    top, bot = 0, M_v - 1
-    interior = list(range(1, M_v - 1))
+    Lb = L[:lay.eta, :lay.eta].reshape(n + 2, M_v, n + 2, M_v)
+    w, p, top, inner, bot = n, n + 1, 0, slice(1, M_v - 1), M_v - 1
 
-    # momentum rows: lambda u = (k2 - D2) u + grad p
-    for j in range(n + 1):
-        r = su(j)
-        rows = np.array(interior) + r.start
-        L[np.ix_(rows, range(r.start, r.stop))] += (k2 * eye - D2)[interior, :]
-        if j < n:
-            L[rows, np.arange(sp.start, sp.stop)[interior]] += 1j * kappa[j]
-        else:
-            L[np.ix_(rows, range(sp.start, sp.stop))] += D[interior, :]
-        B[rows, rows] = 1.0
+    # momentum rows lambda u = (k2 - D2) u + grad p at the interior nodes, no slip at the bottom
+    Lb[range(n + 1), inner, range(n + 1)] += (k2 * np.eye(M_v) - D @ D)[inner]
+    Lb[:n, inner, p, inner] += ik[:, inner, inner]
+    Lb[w, inner, p] += D[inner]
+    Lb[range(n + 1), bot, range(n + 1), bot] = 1.0
 
-    # no-slip bottom rows
-    for j in range(n + 1):
-        L[su(j).start + bot, su(j).start + bot] = 1.0
+    # top: zero tangential stress d3 u_j + i kappa_j u_3, normal stress p - 2 d3 u_3 = sigma eta
+    Lb[range(n), top, range(n)] += D[top]
+    Lb[:n, top, w, top] += 1j * kappa
+    Lb[w, top, p, top] = 1.0
+    Lb[w, top, w] += -2.0 * D[top]
+    L[lay.u(w).start, lay.eta] = -sigma
 
-    # top rows: tangential stress for horizontal components, normal stress for u3
-    for j in range(n):
-        r = su(j).start + top
-        L[r, su(j)] += D[top, :]
-        L[r, su(n).start + top] += 1j * kappa[j]
-    r = su(n).start + top
-    L[r, sp.start + top] = 1.0
-    L[r, su(n)] += -2.0 * D[top, :]
-    L[r, ie] = -sigma
+    # divergence i kappa . u_h + d3 u_3 at every node
+    Lb[p, :, :n] += ik.swapaxes(0, 1)
+    Lb[p, :, w] += D
 
-    # divergence rows (all vertical nodes)
-    for i in range(M_v):
-        r = sp.start + i
-        for j in range(n):
-            L[r, su(j).start + i] += 1j * kappa[j]
-        L[r, su(n)] += D[i, :]
-
-    # kinematic row: lambda eta = -u3(top); frozen eta on the k = 0 branch
+    # kinematic row lambda eta = -u_3(top), with unit mass on it and the interior velocity rows
+    mass = np.zeros(lay.dim)
+    lay.blocks(mass)[0][:, inner] = 1.0
     if k2 == 0.0:
-        L[ie, ie] = 1.0
+        L[lay.eta, lay.eta] = 1.0  # frozen eta, and the pressure gauge p(bottom) = 0
+        Lb[p, bot] = 0.0
+        Lb[p, bot, p, bot] = 1.0
     else:
-        B[ie, ie] = 1.0
-        L[ie, su(n).start + top] = -1.0
+        mass[lay.eta] = 1.0
+        L[lay.eta, lay.u(w).start] = -1.0
 
-    return ModeOperator(k=kt, b=float(b), sigma=float(sigma), M_v=M_v, L=L, B=B, x3=x3, D=D)
+    return ModeOperator(k=kt, b=float(b), sigma=float(sigma), M_v=M_v, L=L,
+                        B=np.diag(mass.astype(complex)), x3=x3, D=D)
 
 
 @dataclass(frozen=True)
