@@ -180,6 +180,14 @@ def cmd_dispersion(cfg: RunConfig, out: str, threads: int) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, out: str) -> int:
+    # k_i = +-N/2 aliases k and -k on the grid, so a real field cannot carry that mode
+    nyquist = cfg.grid.N // 2
+    for path, k in ([("initial_data.eigenmode.k", cfg.eigenmode["k"])] if cfg.eigenmode
+                    else [(f"initial_data.modes[{i}].k", m.k) for i, m in enumerate(cfg.modes)]):
+        if nyquist in map(abs, k):
+            raise ConfigError(f"{path}: wavevector {list(k)} has a component at N/2 = "
+                              f"{nyquist}, where k and -k coincide on the grid; simulate "
+                              f"needs |k_i| < {nyquist}")
     density = cfg.density()
     dom = _domain(cfg)
     simulator = sim.Simulator(density, cfg.gravity, dom)

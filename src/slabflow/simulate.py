@@ -244,6 +244,15 @@ class _ModeSet:
     weight: np.ndarray  # 1 at k = 0, 2 for a conjugate pair
     mean: np.ndarray    # k = 0
     hs: np.ndarray      # (4, 4, modes), see Simulator._mode_set
+    # The equilibrium pair, see Simulator._equilibrium_factors: each mode's rotation of
+    # u_h onto (kappa_hat, its normal), its slot in the (class, rank) layout of the
+    # factors, and the weights of the sigma terms on |eta|^2 and |u_3(top)|^2.
+    rotation: np.ndarray  # (modes, n, n)
+    slot: np.ndarray      # (modes,)
+    width: int            # most modes of one class
+    factors: tuple        # longitudinal and, for n = 2, transverse [R_E^T | R_D^T]
+    sigma_eta: np.ndarray
+    sigma_top: np.ndarray
     propagators: dict = field(default_factory=dict)  # (dt, scheme) -> Simulator._propagator
 
 
@@ -402,8 +411,12 @@ class Simulator:
         """Per-mode constants of the wavevectors `keys`, cached per mode set."""
         if keys not in self._mode_sets:
             n = self.dom.n
-            kappa = 2.0 * np.pi * np.array(keys, dtype=float).reshape(len(keys), n)
+            k = np.array(keys, dtype=int).reshape(len(keys), n)
+            kappa = 2.0 * np.pi * k
+            k2 = np.sum(kappa**2, axis=1)
             mean = ~np.any(kappa, axis=1)
+            sigma = np.array([self.sigma(kt) for kt in keys])
+            weight = np.where(mean, 1.0, 2.0)
             # hs[s, d]: weight of the d-th vertical derivative in the H^s norm, the
             # sum of prod |kappa_i|^(2 m_i) over horizontal orders with |m| <= s - d
             hs = np.zeros((4, 4, len(keys)))
@@ -413,11 +426,67 @@ class Simulator:
                     term = np.prod(np.abs(kappa) ** (2.0 * np.asarray(multi)), axis=1)
                     for order in range(h, 4):
                         hs[order, :order - h + 1] += term
+            # the equilibrium pair: modes of one integer |k|^2 share a class, and
+            # mode i sits at rank[i] among its class in the factors' layout
+            q, cls = np.unique(np.sum(k**2, axis=1), return_inverse=True)
+            rank = np.array([np.sum(cls[:i] == c) for i, c in enumerate(cls)], dtype=int)
+            width = int(rank.max(initial=-1)) + 1
+            kh = kappa / np.sqrt(np.where(mean, 1.0, k2))[:, None]
+            kh[mean, 0] = 1.0  # the identity rotation at k = 0
+            rotation = kh[:, None] if n == 1 else np.stack([kh, kh[:, ::-1] * [-1, 1]], axis=1)
             self._mode_sets[keys] = _ModeSet(
-                kappa=kappa, k2=np.sum(kappa**2, axis=1),
-                sigma=np.array([self.sigma(kt) for kt in keys]),
-                weight=np.where(mean, 1.0, 2.0), mean=mean, hs=hs)
+                kappa=kappa, k2=k2, sigma=sigma, weight=weight, mean=mean, hs=hs,
+                rotation=rotation, slot=cls * width + rank, width=width,
+                factors=self._equilibrium_factors(q),
+                sigma_eta=0.5 * weight * sigma * (1.0 + k2 + k2**2),
+                sigma_top=np.where(mean, 0.0, 0.5 * weight * sigma))
         return self._mode_sets[keys]
+
+    def _equilibrium_factors(self, q: np.ndarray) -> tuple:
+        """Real triangular factors of E_eq and D_eq without their sigma terms, one per
+        distinct integer |k|^2 in q: a stack (classes, cols, 2 cols) of [R_E^T | R_D^T]
+        for the longitudinal block (u_par, u_3, p) and, for n = 2, one for the
+        transverse block u_perp.
+
+        In the real frame y = S x with u_h rotated onto (kappa_hat, its normal), both
+        forms depend on k only through |k|^2 and the two blocks decouple, so they are
+        built at kappa = (|kappa|, 0).  Each form is the sum of |row . y|^2 over the
+        rows sqrt(w f w3 / 2) times the velocities (E_eq) or their symmetric gradient
+        (D_eq) of the state (f = 1 + |kappa|^2 + |kappa|^4) and of its time derivative,
+        the momentum trace (f = 1).  Every row is real or imaginary in this frame
+        (checked), so the sum of each row's real and imaginary parts, one of them zero,
+        is a real map A with the same form, and Householder QR gives R with
+        R^T R = A^T A without forming A^T A, which would square its conditioning.
+        eta enters neither factor.
+        """
+        dom, lay = self.dom, self.layout
+        n, D = dom.n, dom.D3
+        blocks = [np.r_[lay.u(0), lay.u(n).start:lay.p.stop]] + [np.r_[lay.u(1)]] * (n == 2)
+        factors = [np.empty((len(q), c.size, 2 * c.size)) for c in blocks]
+        basis = np.diag(self._phase.conj())  # x = S^-1 y of each unit vector y
+        for i, qi in enumerate(q):
+            kappa = np.zeros((lay.dim, n))
+            kappa[:, 0] = 2.0 * np.pi * np.sqrt(qi)
+            k2 = kappa[0, 0] ** 2
+            # velocities of the state and of its time derivative, (copy, j, node, column)
+            X = np.stack([basis, time_derivative_trace(basis, kappa, D)]).swapaxes(1, 2)
+            u = X[:, :lay.p.start].reshape(2, n + 1, dom.M_v, lay.dim)
+            # G[:, i, j] = d_i u_j: i < n horizontal, i = n vertical
+            G = np.concatenate([1j * kappa[0, :, None, None, None] * u[:, None],
+                                (D @ u)[:, None]], axis=1)
+            # sqrt(w f w3 / 2) by (copy, node)
+            scale = np.sqrt(0.5 * (2.0 if qi else 1.0) * dom.w3
+                            * np.array([1.0 + k2 + k2**2, 1.0])[:, None])[:, None, :, None]
+            for f, rows in enumerate((scale * u, scale[:, None] * (G + np.swapaxes(G, 1, 2)))):
+                if np.any(rows.real * rows.imag):
+                    raise NumericError(f"equilibrium forms at |k|^2={qi} are not real in the frame")
+                A = (rows.real + rows.imag).reshape(-1, lay.dim)
+                for b, cols in enumerate(blocks):
+                    # Householder QR of the rows in their natural order: sorting them by
+                    # norm or dropping the zero ones left D_eq 10-100 times less accurate
+                    R = scipy.linalg.lapack.dgeqrf(A[:, cols])[0]
+                    factors[b][i, :, f * cols.size:(f + 1) * cols.size] = np.triu(R[:cols.size]).T
+        return tuple(factors)
 
     def _alpha_set(self):
         """Distinct multi-indices of parabolic order <= 2 with their multiplicity:
@@ -451,19 +520,27 @@ class Simulator:
         The horizontal-derivative copies of one mode are scalar multiples of
         it, so the sum over spatial multi-indices collapses to the factor
         S_k = 1 + |kappa|^2 + |kappa|^4, leaving the time-derivative copy as
-        the only extra evaluation.
+        the only extra evaluation.  Both forms are sums of squares of the mode
+        set's factors (`_equilibrium_factors`) applied to the rotated real-frame
+        blocks of the stack, gathered by class; the sigma terms of eta and of
+        d_t eta = u_3(top) are added per mode.
         """
-        w3 = self.dom.w3
-        c, u, du, _, eta, deta = self._profiles(state)
-        # (copy, mode): the state with factor S_k, its time derivative with 1
-        U, Z = np.stack([u, du]), np.stack([eta, deta])
-        f = c.weight * np.stack([1.0 + c.k2 + c.k2**2, np.ones_like(c.k2)])
-        E = 0.5 * np.sum(f * ((np.abs(U) ** 2 @ w3).sum(axis=-1) + c.sigma * np.abs(Z) ** 2))
-        # G[..., i, j, :] = d_i u_j: i < n horizontal, i = n vertical
-        G = np.concatenate([1j * c.kappa[:, :, None, None] * U[:, :, None],
-                            (U @ self.dom.D3.T)[:, :, None]], axis=2)
-        sym = np.abs(G + np.swapaxes(G, 2, 3)) ** 2
-        Dd = 0.5 * np.sum(f * (sym.sum(axis=(2, 3)) @ w3))
+        keys, X = state.stack()
+        c = self._mode_set(keys)
+        n = self.dom.n
+        u, p, eta = self.layout.blocks(X)
+        uh = -1j * (c.rotation @ u[:, :n])  # S u_h along kappa_hat and its normal
+        blocks = (np.concatenate([uh[:, :1], u[:, n:], p[:, None]], axis=1), uh[:, 1:])
+        E = c.sigma_eta @ np.abs(eta) ** 2 + c.sigma_top @ np.abs(u[:, n, 0]) ** 2
+        Dd = 0.0
+        for F, z in zip(c.factors, blocks):
+            classes, cols = F.shape[:2]
+            z = z.reshape(len(keys), cols)
+            W = np.zeros((classes * c.width, 2, cols))
+            W[c.slot] = np.stack([z.real, z.imag], axis=1)
+            Y = W.reshape(classes, 2 * c.width, cols) @ F
+            E += np.sum(Y[..., :cols] ** 2)
+            Dd += np.sum(Y[..., cols:] ** 2)
         return float(E), float(Dd)
 
     def _improved_pair(self, state: FlattenedState):

@@ -198,6 +198,40 @@ def test_alternating_mode_sets(scheme):
         assert_functionals_close(s, b, 1e-13)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_equilibrium_factors_shared_by_equal_wavenumber(scheme):
+    """Modes of one integer |k|^2 share one pair of factors; the pair still matches
+    the per-mode reference on every step."""
+    s = simulator(2)
+    ks = [(1, 2), (2, 1), (2, -1), (1, -2), (3, 4), (4, 3), (5, 0), (0, 5), (8, 1)]
+    seeds = [sim.ModeSeed((0, 0), u=0.2)] + [
+        sim.ModeSeed(k, eta=0.004 * np.exp(0.7j * i) / (1 + i), u=(0.05 - 0.03j) / (1 + i))
+        for i, k in enumerate(ks)]
+    state = s.init_pressure(s.admissible_data(seeds))
+    assert [len(F) for F in s._mode_set(state.keys).factors] == [4, 4]  # |k|^2 = 0, 5, 25, 65
+    for _ in range(20):
+        assert_functionals_close(s, state, 1e-13)
+        state = s.step(state, 1e-3, scheme)
+    assert_functionals_close(s, state, 1e-13)
+
+
+def test_equilibrium_pair_is_rotation_invariant():
+    """The images of a generic mode under the eight symmetries of the square lattice,
+    u_h turned with k and conjugated onto the representative, keep E_eq and D_eq."""
+    s = simulator(2)
+    x = s.init_pressure(s.admissible_data([sim.ModeSeed((1, 2), eta=0.003 - 0.004j,
+                                                        u=0.02 + 0.05j)])).modes[(1, 2)]
+    E0, D0 = s._equilibrium_pair(sim.FlattenedState(s.dom, {(1, 2): x}))
+    for swap, sx, sy in product((False, True), (1, -1), (1, -1)):
+        Q = np.diag([sx, sy]) @ (np.eye(2)[::-1] if swap else np.eye(2))
+        k = tuple(int(c) for c in Q @ (1, 2))
+        y = x.copy()
+        y[:2 * M_V] = (Q @ x[:2 * M_V].reshape(2, M_V)).ravel()
+        rep, conj = sim._canonical_mode(k, 2)
+        E, D = s._equilibrium_pair(sim.FlattenedState(s.dom, {rep: y.conj() if conj else y}))
+        assert abs(E - E0) <= 1e-13 * E0 and abs(D - D0) <= 1e-13 * D0
+
+
 def test_mode_operator_trace_is_one_row_of_the_batch():
     s, state = STATES["n2"]
     keys, X = state.stack()

@@ -1,11 +1,15 @@
 """Command line: out-of-band wavevectors are config errors; the shared check table."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from slabflow.cli import main
 from slabflow.config import ConfigError, parse_config
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(path, content):
@@ -44,6 +48,23 @@ class TestOutOfBandWavevectors:
         assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 2
         assert path in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("initial_data, path", [
+        ({"modes": [{"k": [16, 0], "eta": 1e-3}]}, "initial_data.modes[0].k"),
+        ({"modes": [{"k": [1, 0], "eta": 1e-3}, {"k": [16, 1], "eta": 1e-3}]},
+         "initial_data.modes[1].k"),
+        ({"eigenmode": {"k": [16, 0]}}, "initial_data.eigenmode.k"),
+        ({"modes": [{"k": [-15, 16], "u": 1e-3}]}, "initial_data.modes[0].k"),
+    ])
+    def test_simulate_refuses_band_edge(self, tmp_path, capsys, initial_data, path):
+        """A component at N/2 parses but is no simulation input: the grid holds one
+        coefficient for k and -k there, so the run's E_geo disagrees with E_eq."""
+        raw = json.loads((CONFIGS / "area_waves.json").read_text())
+        cfg = write_config(tmp_path / "c.json", {**raw, "initial_data": initial_data})
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "simulate"]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "trace.csv").exists()
 
     def test_band_edge_parses(self):
         cfg = parse_config(base_config(
