@@ -372,6 +372,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slabflow",
@@ -379,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="path to the JSON run configuration")
     parser.add_argument("--out", default=".", help="output directory for generated files")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", type=_non_negative_int, default=None,
+                        help="override the config seed")
     parser.add_argument("--threads", type=_positive_int, default=1, help="threads for mode sweeps")
     parser.add_argument(
         "command",

@@ -263,6 +263,8 @@ def parse_config(raw: dict) -> RunConfig:
     if kmax < 1:
         raise ConfigError("kmax: must be >= 1")
     seed = _as_int(_take(raw, "top level", "seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError("seed: must be >= 0")
 
     figure = _parse_section(raw, "figure", FigureSection)
     if figure.profile not in ("tanh", "gaussian", "both"):

@@ -31,7 +31,8 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-import scipy.linalg
+# scipy.linalg is imported in _propagator and _equilibrium_factors, its only callers
+# here: loading it costs about 0.3 s, which no surface-energy command should pay.
 
 from . import geometry as geo
 from . import surface_energy as se
@@ -376,6 +377,7 @@ class Simulator:
         S A1^-1 A2 S^-1, factored from the real S A1 S^-1 and S A2 S^-1."""
         c = self._mode_set(keys)
         if (dt, scheme) not in c.propagators:
+            import scipy.linalg
             theta = 0.5 if scheme == "crank-nicolson" else 1.0
             s = self._phase
             P = np.empty((len(keys), self.layout.dim, self.layout.dim))
@@ -459,6 +461,7 @@ class Simulator:
         R^T R = A^T A without forming A^T A, which would square its conditioning.
         eta enters neither factor.
         """
+        import scipy.linalg
         dom, lay = self.dom, self.layout
         n, D = dom.n, dom.D3
         blocks = [np.r_[lay.u(0), lay.u(n).start:lay.p.stop]] + [np.r_[lay.u(1)]] * (n == 2)

@@ -28,7 +28,8 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
-import scipy.linalg
+# scipy.linalg is imported in _matmul, solve_spectrum and resolvent_solve, its only
+# callers here: loading it costs about 0.3 s, which no surface-energy command should pay.
 
 from .densities import EnergyDensity
 from .geometry import chebyshev_lobatto
@@ -221,11 +222,13 @@ def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a @ x by zgemm of scipy's bundled OpenBLAS, the copy `scipy.linalg` runs on;
     numpy bundles another copy with its own thread pool, and alternating the two
     pools lets each one's spinning workers starve the other's."""
+    import scipy.linalg
     return scipy.linalg.blas.zgemm(1.0, a, x.reshape(x.shape[0], -1)).reshape(x.shape)
 
 
 def solve_spectrum(op: ModeOperator) -> Spectrum:
     """Dense generalized eigensolve with residual-based spurious-mode filter."""
+    import scipy.linalg
     try:
         w, V = scipy.linalg.eig(op.L, op.B)
     except Exception as exc:  # pragma: no cover - scipy failure paths
@@ -256,6 +259,7 @@ def resolvent_solve(op: ModeOperator, dt: float, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("dt must be positive")
     A = op.B / dt + op.L
     b = (op.B.diagonal() * rhs.T).T / dt
+    import scipy.linalg
     try:
         x = scipy.linalg.solve(A, b)
     except scipy.linalg.LinAlgError as exc:

@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from slabflow import densities as dn
+from slabflow import simulate as sim
+from slabflow import stability as st
 from slabflow import surface_energy as se
 from slabflow.fourier import SpectralField, TorusGrid
+from slabflow.geometry import FlattenedDomain
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -53,3 +56,22 @@ def test_install_wraps_and_uninstall_restores(tracing):
         assert current(owner, attr) is original, attr
     assert not hasattr(se.energy, "__wrapped__")
     assert np.isfinite(se.energy(dn.area(1.0), eta))
+
+
+def test_deferred_lapack_calls_are_traced(tracing):
+    # stability and simulate import scipy.linalg inside the functions that call
+    # LAPACK and look up eig and lu_factor on the module object, so the tracer's
+    # wrappers there still see every eigensolve and stepper factorization.
+    tracer = tracing.Tracer((RuntimeError, ValueError))
+    try:
+        tracing.wrap_slabflow(tracer)
+        st.solve_spectrum(st.assemble_mode((1, 0), 1.0, 2.0, 8))
+        dom = FlattenedDomain(b=1.0, horizontal=TorusGrid(2, 8), M_v=8)
+        s = sim.Simulator(dn.area(1.0), 1.0, dom)
+        state = s.init_pressure(s.admissible_data([sim.ModeSeed((1, 0), eta=1e-3)]))
+        s.step(state, 1e-3)
+        parents = {(span[0], tracer.parent_name(span)) for span in tracer.spans}
+        assert ("stability.eig", "stability.solve_spectrum") in parents
+        assert ("simulate.stepper_factor", "simulate.step") in parents
+    finally:
+        tracer.uninstall()
