@@ -115,10 +115,62 @@ def truncate_coeffs(coeffs: np.ndarray, src: TorusGrid, dst: TorusGrid) -> np.nd
     return _resize(coeffs, dst.n, src.N, dst.N)
 
 
-def coeffs_to_samples(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Physical samples of a Hermitian coefficient array (real output)."""
-    axes = tuple(range(-grid.n, 0))
-    return np.fft.ifftn(coeffs, axes=axes).real * grid.npoints
+# Crossover of the synthesis decision in `coeffs_to_samples`, measured on the two
+# stacks of a record, the 7-copy jet (5 derivatives on 48^2) and the 4-field
+# extension (32^2 x 24): with wavevectors drawn from |k|_inf <= 8 the direct sums
+# cost as much as the FFT near 20 wavevectors for the jet and near 50 for the
+# extension, and their sum per record meets the FFTs' near 40; from |k|_inf <= 4
+# the sums still win at 40 (numpy 2.4.6, default BLAS threads, 2-vCPU shared host).
+SPARSE_MODES = 40
+
+
+def _representatives(mask: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """FFT indices (P, n) of the true entries of `mask` that represent their +-k
+    pair, and whether each is self-conjugate.
+
+    The representative is the lexicographically smaller of k and -k mod N, so
+    its first component lies in [0, N/2].
+    """
+    idx = np.argwhere(mask)
+    lin, lin_conj = (np.ravel_multi_index(i.T, grid.shape) for i in (idx, -idx % grid.N))
+    keep = lin <= lin_conj
+    return idx[keep], (lin == lin_conj)[keep]
+
+
+def coeffs_to_samples(coeffs: np.ndarray, grid: TorusGrid, profile=None) -> np.ndarray:
+    """Physical samples, shape lead + grid.shape + tail, of a stack of Hermitian
+    coefficient arrays, shape lead + grid.shape (real output).
+
+    With `profile`, a function from integer wavevectors (n,) + S to factors
+    S + tail, each coefficient is first multiplied by the factors of its
+    wavevector; without it tail = ().  A stack with at most SPARSE_MODES
+    excited wavevectors (nonzero in any member) is summed directly over them
+    (`_mode_sum`), a denser one goes through one half-spectrum inverse FFT.
+    Both read one member of each +-k pair only.
+    """
+    n, N = grid.n, grid.N
+    lead = coeffs.shape[:coeffs.ndim - n]
+    L = int(np.prod(lead, dtype=int))
+    mask = coeffs.reshape((L,) + grid.shape).any(axis=0)
+    # excited wavevectors: a +-k pair fills two entries, a self-conjugate k one
+    excited = (np.count_nonzero(mask) + np.count_nonzero(mask[np.ix_(*[(0, N // 2)] * n)])) // 2
+    if excited > SPARSE_MODES:
+        c, t = coeffs[..., :N // 2 + 1], 0
+        if profile is not None:
+            p = profile(grid.wavevectors()[..., :N // 2 + 1])
+            t = p.ndim - n
+            c = c.reshape(c.shape + (1,) * t) * p
+        return np.fft.irfftn(c, s=grid.shape, axes=tuple(range(c.ndim - t - n, c.ndim - t)),
+                             norm="forward")
+    reps, self_conj = _representatives(mask, grid)
+    a = np.moveaxis(coeffs[(...,) + tuple(reps.T)], -1, 0).reshape(len(reps), L, 1)
+    a = np.where(self_conj[:, None, None], a.real, 2.0 * a)
+    tail = ()
+    if profile is not None:
+        p = profile(grid.axis_wavenumbers()[reps.T])
+        tail = p.shape[1:]
+        a = a * p.reshape(len(reps), 1, int(np.prod(tail, dtype=int)))
+    return _mode_sum(grid, list(zip(map(tuple, reps), a)), lead, tail)
 
 
 def samples_to_coeffs(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -168,17 +220,12 @@ def mode_samples(grid: TorusGrid, modes: dict, lead: tuple[int, ...] = (),
     """Real samples, shape lead + grid.shape + tail, of the field {wavevector: amplitude}.
 
     The field is the one `hermitian_scatter` describes, summed directly over
-    the excited wavevectors instead of inverse transformed: each entry is
-    written as Re(w a exp(2 pi i k.x)) (w = 2 for a conjugate pair, 1 for a
-    self-conjugate k), oriented so that 0 <= k_1 <= N/2, and the sum runs one
-    horizontal axis at a time as a matrix product with exp(2 pi i k_a x_a)
-    over the distinct components k_a, the real part taken with the first
-    axis.  Amplitudes are arrays of shape lead + tail.  The cost grows with
-    the number of distinct components per axis rather than with N^n log N
-    per field, so it pays for few excited modes (the matrix-multiplication
-    transform).
+    the excited wavevectors instead of inverse transformed (`_mode_sum`): each
+    entry is written as Re(w a exp(2 pi i k.x)) (w = 2 for a conjugate pair,
+    1 for a self-conjugate k), oriented so that 0 <= k_1 <= N/2.  Amplitudes
+    are arrays of shape lead + tail.
     """
-    n, N = grid.n, grid.N
+    N = grid.N
     L, T = int(np.prod(lead, dtype=int)), int(np.prod(tail, dtype=int))
     terms = []
     for idx, idx_conj, a in _hermitian_terms(grid, modes):
@@ -189,8 +236,24 @@ def mode_samples(grid: TorusGrid, modes: dict, lead: tuple[int, ...] = (),
             terms.append((idx_conj, 2.0 * np.conj(a)))
         else:
             terms.append((idx, 2.0 * a))
+    return _mode_sum(grid, terms, lead, tail)
+
+
+def _mode_sum(grid: TorusGrid, terms: list, lead: tuple[int, ...],
+              tail: tuple[int, ...]) -> np.ndarray:
+    """Real samples, shape lead + grid.shape + tail, of the sum of Re(a exp(2 pi i k.x))
+    over the terms (FFT index k with k_1 <= N/2, amplitude a of shape (L, T)).
+
+    The sum runs one horizontal axis at a time as a matrix product with
+    exp(2 pi i k_a x_a) over the distinct components k_a, the real part
+    taken with the first axis.  The cost grows with the number of distinct
+    components per axis rather than with N^n log N per field, so it pays for
+    few excited modes (the matrix-multiplication transform).
+    """
+    n, N = grid.n, grid.N
     if not terms:
         return np.zeros(lead + grid.shape + tail)
+    L, T = terms[0][1].shape
     # real coefficients (L, P_1, re/im, P_2.., T) over the distinct components P_a
     comps = [sorted({idx[axis] for idx, _ in terms}) for axis in range(n)]
     C = np.zeros((L, len(comps[0]), 2) + tuple(len(c) for c in comps[1:]) + (T,))

@@ -25,7 +25,8 @@ from itertools import product
 import numpy as np
 
 from .densities import EnergyDensity
-from .fourier import SpectralField, TorusGrid, axis_multipliers, sqrt_neg_laplacian
+from .fourier import (SpectralField, TorusGrid, axis_multipliers, coeffs_to_samples,
+                      sqrt_neg_laplacian)
 from . import surface_energy as se
 
 __all__ = [
@@ -183,15 +184,14 @@ def _extension(coeffs: np.ndarray, dom: FlattenedDomain) -> np.ndarray:
     """Samples (..., *grid, Mv) of the harmonic extensions of a coefficient stack.
 
     `coeffs` holds Hermitian coefficient arrays, shape (..., *grid); each mode
-    is carried down by exp(2 pi |k| x3) and the whole stack is transformed
-    with one half-spectrum inverse FFT.
+    is carried down by exp(2 pi |k| x3) and the whole stack is synthesized in
+    one call.
     """
-    grid = dom.horizontal
-    half = grid.N // 2 + 1
-    kk = grid.wavevectors()[..., :half].astype(float)
-    kmod = 2.0 * np.pi * np.sqrt(np.sum(kk**2, axis=0))
-    c = coeffs[..., :half, None] * np.exp(kmod[..., None] * dom.x3)
-    return np.fft.irfftn(c, s=grid.shape, axes=tuple(range(-1 - dom.n, -1)), norm="forward")
+    def profile(kk):
+        kmod = 2.0 * np.pi * np.sqrt(np.sum(kk.astype(float) ** 2, axis=0))
+        return np.exp(kmod[..., None] * dom.x3)
+
+    return coeffs_to_samples(coeffs, dom.horizontal, profile)
 
 
 def harmonic_extension(eta: SpectralField, dom: FlattenedDomain) -> BulkField:

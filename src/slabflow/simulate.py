@@ -622,8 +622,8 @@ class Simulator:
         gp, gM, _ = se._jet_fields(*copies)
         W = self.density.value(gp[0], gM[0])
         se.check_finite(self.density, W)
-        vals = se.hessian_form(self.density.hess(gp[0], gM[0]), gp[1:], gM[1:])
-        E += float(np.mean(W)) + 0.5 * float(np.sum(np.mean(vals, axis=tuple(range(1, 1 + n)))))
+        E += float(np.mean(W)) + 0.5 * se.hessian_form_total(self.density.hess(gp[0], gM[0]),
+                                                             gp[1:], gM[1:])
         E += 0.5 * self.g * float(np.sum(np.abs(zhat) ** 2))
         return E, Dd
 
@@ -657,19 +657,22 @@ class Simulator:
         dt = settings.dt
         trace = EnergyTrace()
         nsteps = int(round(settings.horizon / dt))
-        trace.append(state.t, self.functionals(state), state.mass())
-        if settings.record_ed:
-            E_prev, D_prev = self._equilibrium_pair(state)
+        rec = self.functionals(state)
+        trace.append(state.t, rec, state.mass())
+        E_prev, D_prev = rec["E_eq"], rec["D_eq"]
         for step_i in range(1, nsteps + 1):
             t = state.t
             state = self.step(state, dt, settings.scheme)
-            if settings.record_ed:
+            if step_i % settings.output_interval == 0 or step_i == nsteps:
+                rec = self.functionals(state)
+                trace.append(state.t, rec, state.mass())
+                E_new, D_new = rec["E_eq"], rec["D_eq"]  # the record serves the ED series too
+            elif settings.record_ed:
                 E_new, D_new = self._equilibrium_pair(state)
+            if settings.record_ed:
                 D_half = 0.5 * (D_prev + D_new)
                 trace.ed_t.append(t + 0.5 * dt)
                 trace.ed_residual.append((E_new - E_prev) / dt + D_half)
                 trace.ed_dissipation.append(D_half)
                 E_prev, D_prev = E_new, D_new
-            if step_i % settings.output_interval == 0 or step_i == nsteps:
-                trace.append(state.t, self.functionals(state), state.mass())
         return trace, state

@@ -84,32 +84,33 @@ def derivative_tensors(coeffs: np.ndarray, grid: TorusGrid, max_order: int):
     `coeffs` holds the fields' coefficients on `grid`, shape grid.shape +
     batch.  Returns a dict order -> array of shape batch + fine.shape +
     (n,)*order, filled symmetrically from the distinct spectral derivatives
-    (one transform each, shared by the whole stack), and the padded grid.
+    of the whole stack, synthesized in one call, and the padded grid.
     """
     fine = grid.padded()
     n = grid.n
     base = embed_coeffs(coeffs, grid, fine)
     batch = base.shape[n:]
-    base = np.moveaxis(base, tuple(range(n)), tuple(range(-n, 0)))
+    # field index first in memory too, so that the stack of derivatives is contiguous
+    base = np.ascontiguousarray(np.moveaxis(base, tuple(range(n)), tuple(range(-n, 0))))
     mults = axis_multipliers(fine)
 
-    cache: dict[tuple[int, ...], np.ndarray] = {}
+    def multi_index(idx):
+        return tuple(sum(1 for a in idx if a == ax) for ax in range(n))
 
-    def samples_of(multi: tuple[int, ...]) -> np.ndarray:
-        if multi not in cache:
-            c = base
-            for axis, m in enumerate(multi):
-                if m:
-                    c = c * mults[axis] ** m
-            cache[multi] = coeffs_to_samples(c, fine)
-        return cache[multi]
+    multis = sorted({multi_index(idx) for order in range(1, max_order + 1)
+                     for idx in product(range(n), repeat=order)})
+    symbols = np.ones((len(multis),) + fine.shape, dtype=complex)
+    for symbol, multi in zip(symbols, multis):
+        for axis, m in enumerate(multi):
+            symbol *= mults[axis] ** m
+    symbols = symbols.reshape((len(multis),) + (1,) * len(batch) + fine.shape)
+    samples = coeffs_to_samples(base * symbols, fine)
 
     out = {}
     for order in range(1, max_order + 1):
         D = np.zeros(batch + fine.shape + (n,) * order)
         for idx in product(range(n), repeat=order):
-            multi = tuple(sum(1 for a in idx if a == ax) for ax in range(n))
-            D[(Ellipsis,) + idx] = samples_of(multi)
+            D[(Ellipsis,) + idx] = samples[multis.index(multi_index(idx))]
         out[order] = D
     return out, fine
 
@@ -219,17 +220,61 @@ def third_variation_apply(
     return adjoint_jet(q, N, fine, eta.grid)
 
 
+@cache
+def _hessian_table(n: int):
+    """The terms of hess f . (J zeta x J zeta) = fpp.(gp x gp) + 2 fpM.(gp x gM) + fMM.(gM x gM).
+
+    The jet (gp, gM) is read as n + n^2 slots (gp_k, then gM_ij row by row) and
+    the Hessian as its flattened entries H_h (fpp, fpM, fMM).  Returns the
+    distinct slot pairs (I, J), I <= J, and the weights W (entries, pairs) that
+    place each entry on its pair, so that the form is sum_q (H W)_q z_I z_J.
+    """
+    p = range(n)
+    M = [n + n * i + j for i in range(n) for j in range(n)]
+    terms = ([(k, l, 1.0) for k in p for l in p] + [(k, m, 2.0) for k in p for m in M]
+             + [(m, q, 1.0) for m in M for q in M])
+    pairs, entry_pair = np.unique([sorted(t[:2]) for t in terms], axis=0, return_inverse=True)
+    W = np.zeros((len(terms), len(pairs)))
+    W[np.arange(len(terms)), entry_pair.ravel()] = [t[2] for t in terms]
+    return pairs, W
+
+
+def _hessian_entries(hess) -> np.ndarray:
+    return np.concatenate([h.reshape(h.shape[:h.ndim - k] + (-1,))
+                           for h, k in zip(hess, (2, 3, 4))], axis=-1)
+
+
+def _jet_slots(gp: np.ndarray, gM: np.ndarray) -> np.ndarray:
+    return np.concatenate([gp, gM.reshape(gM.shape[:-2] + (-1,))], axis=-1)
+
+
 def hessian_form(hess, gp: np.ndarray, gM: np.ndarray) -> np.ndarray:
     """Pointwise hess f . (J zeta x J zeta), the integrand of 2 Q_eta(zeta).
 
     `hess` = (fpp, fpM, fMM) is evaluated along the jet of eta and (gp, gM)
     is the jet of zeta; any common leading shape is kept.
     """
-    fpp, fpM, fMM = hess
-    vals = np.einsum("...kl,...k,...l->...", fpp, gp, gp)
-    vals += 2.0 * np.einsum("...kij,...k,...ij->...", fpM, gp, gM)
-    vals += np.einsum("...ijkl,...ij,...kl->...", fMM, gM, gM)
-    return vals
+    pairs, W = _hessian_table(gp.shape[-1])
+    z = _jet_slots(gp, gM)
+    return np.einsum("...q,...q->...", _hessian_entries(hess) @ W,
+                     z[..., pairs[:, 0]] * z[..., pairs[:, 1]])
+
+
+def hessian_form_total(hess, gp: np.ndarray, gM: np.ndarray) -> float:
+    """The mean over the points of `hessian_form`, summed over a leading copy axis.
+
+    `hess` is evaluated at the points, shape (*points, ...), and (gp, gM) are
+    the jets of the copies, shape (copies, *points, ...).  The slot products
+    z_I z_J are summed over the copies first, then dotted with the Hessian's
+    weight on their pair.
+    """
+    pairs, W = _hessian_table(gp.shape[-1])
+    HW = (_hessian_entries(hess) @ W).reshape(-1, len(pairs))
+    # slots first, (slot, copy, point), so each pair's sum over the copies is one einsum
+    z = np.moveaxis(_jet_slots(gp, gM).reshape(len(gp), len(HW), -1), -1, 0)
+    z = np.ascontiguousarray(z)
+    S = np.stack([np.einsum("cx,cx->x", z[i], z[j]) for i, j in pairs])
+    return float(np.einsum("xq,qx->", HW, S)) / len(HW)
 
 
 def quad_energy(f: EnergyDensity, eta: SpectralField, zeta: SpectralField) -> float:
