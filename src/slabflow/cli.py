@@ -48,12 +48,11 @@ def _csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _field_from_modes(cfg_modes, grid: TorusGrid, pick="eta") -> SpectralField:
+def _field_from_modes(cfg_modes, grid: TorusGrid) -> SpectralField:
     modes = {}
     for entry in cfg_modes:
-        amp = entry.eta if pick == "eta" else entry.u
-        if amp != 0:
-            modes[entry.k] = modes.get(entry.k, 0) + amp
+        if entry.eta != 0:
+            modes[entry.k] = modes.get(entry.k, 0) + entry.eta
     return SpectralField.from_modes(grid, modes)
 
 

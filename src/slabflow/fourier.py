@@ -10,6 +10,7 @@ nonlinearities of band-limited fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "dealiased_product",
     "sqrt_neg_laplacian",
     "random_band_limited",
+    "conjugacy_representatives",
 ]
 
 
@@ -428,6 +430,19 @@ def sqrt_neg_laplacian(f: SpectralField) -> SpectralField:
     kk = f.grid.wavevectors().astype(float)
     mult = 2.0 * np.pi * np.sqrt(np.sum(kk**2, axis=0))
     return SpectralField(f.grid, f.coeffs * mult)
+
+
+def conjugacy_representatives(kmax: int, n: int = 2) -> list[tuple[int, ...]]:
+    """Nonzero wavevectors with 0 < |k|_inf <= kmax, one per conjugate pair."""
+    reps = []
+    for idx in product(range(-kmax, kmax + 1), repeat=n):
+        if all(c == 0 for c in idx):
+            continue
+        if idx < tuple(-c for c in idx):
+            continue
+        reps.append(idx)
+    reps.sort(key=lambda kt: (sum(c * c for c in kt), kt))
+    return reps
 
 
 def random_band_limited(

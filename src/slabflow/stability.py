@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
-from itertools import product
 
 import numpy as np
 # scipy.linalg is imported in _matmul, solve_spectrum and resolvent_solve, its only
 # callers here: loading it costs about 0.3 s, which no surface-energy command should pay.
 
 from .densities import EnergyDensity
+from .fourier import conjugacy_representatives
 from .geometry import chebyshev_lobatto
 from .surface_energy import hessian_symbol
 
@@ -269,19 +269,6 @@ def resolvent_solve(op: ModeOperator, dt: float, rhs: np.ndarray) -> np.ndarray:
     if scale > 0 and resid > 1e-10 * max(scale, np.linalg.norm(x) / dt):
         raise NumericError(f"resolvent residual {resid:.2e} too large at k={op.k}")
     return x
-
-
-def conjugacy_representatives(kmax: int, n: int = 2) -> list[tuple[int, ...]]:
-    """Nonzero wavevectors with 0 < |k|_inf <= kmax, one per conjugate pair."""
-    reps = []
-    for idx in product(range(-kmax, kmax + 1), repeat=n):
-        if all(c == 0 for c in idx):
-            continue
-        if idx < tuple(-c for c in idx):
-            continue
-        reps.append(idx)
-    reps.sort(key=lambda kt: (sum(c * c for c in kt), kt))
-    return reps
 
 
 def mode_sigma(density: EnergyDensity, g: float, k, n: int) -> float:

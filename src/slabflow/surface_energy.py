@@ -1,25 +1,29 @@
 """Surface energy W(eta) = int f(grad eta, hess eta) and its variations.
 
-All field-level operations evaluate the density's coefficient tensors along
+All field-level operations evaluate the density's derivative blocks along
 the jet of eta on a 3/2-padded grid, contract pointwise, and (for operator
 outputs) transform back and truncate to the original band.
 
-The first variation is computed from its explicit expansion in derivatives
-of eta up to order four,
+A jet (p, M) = (grad eta, hess eta) is read as one slot vector z = (p_k,
+then M_ij row by row) of s = n + n^2 slots, and the r-th derivative of f as
+one symmetric tensor over r slots, its blocks (fp, fM; fpp, fpM, fMM; ...)
+placed on every ordering of their slots.  The variations are then
 
-    dW(eta) = fMM . D4 - fpp . D2 + fMMM . (D3 x D3)
-              + 2 fMMp . (D3 x D2) + fMpp . (D2 x D2),
+    dW(eta) = J*(grad f(J eta)),   d2W(eta) phi = J*(hess f(J eta) . J phi),
 
-which only needs smooth coefficient fields, and the second/third variations
-from J*(grad^k f(J eta) . J phi ...) with J = (grad, hess) and
-J*(q, N) = -div q + hess : N.
+with J = (grad, hess) and J*(q, N) = -div q + hess : N taken from one
+transform of the slot field (q, N); Q_eta and the Taylor remainders are
+full contractions of the slot tensors with z.  The third variation keeps its
+block einsums: its slot tensor would hold s^3 = 216 entries per point.
+`first_variation_expanded` is the reference form of dW in derivatives of
+eta up to order four.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 
 import numpy as np
@@ -30,6 +34,7 @@ from .fourier import (
     TorusGrid,
     axis_multipliers,
     coeffs_to_samples,
+    conjugacy_representatives,
     embed_coeffs,
     samples_to_coeffs,
     truncate_coeffs,
@@ -78,6 +83,27 @@ class Jet:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _jet_table(fine: TorusGrid, max_order: int):
+    """Symbols on `fine` of the distinct derivatives of orders 1..max_order, sorted by
+    multi-index, and per order the row of each entry (n,)*order; read-only."""
+    n = fine.n
+    mults = axis_multipliers(fine)
+    orders = range(1, max_order + 1)
+    multis = {r: [tuple(idx.count(a) for a in range(n)) for idx in product(range(n), repeat=r)]
+              for r in orders}
+    distinct = sorted(set().union(*multis.values()))
+    symbols = np.ones((len(distinct),) + fine.shape, dtype=complex)
+    for symbol, multi in zip(symbols, distinct):
+        for axis, m in enumerate(multi):
+            symbol *= mults[axis] ** m
+    index = {r: np.array([distinct.index(m) for m in multis[r]]).reshape((n,) * r)
+             for r in orders}
+    for a in (symbols, *index.values()):
+        a.flags.writeable = False
+    return symbols, index
+
+
 def derivative_tensors(coeffs: np.ndarray, grid: TorusGrid, max_order: int):
     """Sampled derivative tensors D1..Dmax of a stack of fields on the padded grid.
 
@@ -88,31 +114,15 @@ def derivative_tensors(coeffs: np.ndarray, grid: TorusGrid, max_order: int):
     """
     fine = grid.padded()
     n = grid.n
+    symbols, index = _jet_table(fine, max_order)
     base = embed_coeffs(coeffs, grid, fine)
     batch = base.shape[n:]
     # field index first in memory too, so that the stack of derivatives is contiguous
     base = np.ascontiguousarray(np.moveaxis(base, tuple(range(n)), tuple(range(-n, 0))))
-    mults = axis_multipliers(fine)
-
-    def multi_index(idx):
-        return tuple(sum(1 for a in idx if a == ax) for ax in range(n))
-
-    multis = sorted({multi_index(idx) for order in range(1, max_order + 1)
-                     for idx in product(range(n), repeat=order)})
-    symbols = np.ones((len(multis),) + fine.shape, dtype=complex)
-    for symbol, multi in zip(symbols, multis):
-        for axis, m in enumerate(multi):
-            symbol *= mults[axis] ** m
-    symbols = symbols.reshape((len(multis),) + (1,) * len(batch) + fine.shape)
+    symbols = symbols.reshape((len(symbols),) + (1,) * len(batch) + fine.shape)
     samples = coeffs_to_samples(base * symbols, fine)
-
-    out = {}
-    for order in range(1, max_order + 1):
-        D = np.zeros(batch + fine.shape + (n,) * order)
-        for idx in product(range(n), repeat=order):
-            D[(Ellipsis,) + idx] = samples[multis.index(multi_index(idx))]
-        out[order] = D
-    return out, fine
+    return {r: np.ascontiguousarray(np.moveaxis(samples[idx], range(r), range(-r, 0)))
+            for r, idx in index.items()}, fine
 
 
 def _jet_fields(*fields: SpectralField):
@@ -130,16 +140,48 @@ def check_finite(f: EnergyDensity, *arrays: np.ndarray):
         raise EvaluationError(f"density {f.name} non-finite along the jet")
 
 
-def adjoint_jet(q: np.ndarray, N: np.ndarray, fine: TorusGrid, coarse: TorusGrid) -> SpectralField:
-    """J*(q, N) = -div q + hess : N, assembled spectrally and truncated."""
-    n = coarse.n
-    mults = axis_multipliers(fine)
+def _slot_tensor(blocks) -> np.ndarray:
+    """The r-th derivative of f as one symmetric tensor over the jet's slots.
+
+    `blocks` holds its blocks by number m of M-slots (fp, fM; fpp, fpM, fMM;
+    ...), each with its p indices before its M index pairs.  The block with m
+    M-slots is placed on every ordering of its slots; any common leading
+    shape is kept.
+    """
+    r = len(blocks) - 1
+    n = blocks[0].shape[-1]
+    lead = blocks[0].shape[:blocks[0].ndim - r]
+    T = np.empty(lead + (n + n * n,) * r, dtype=np.result_type(*blocks))
+    part = (slice(None, n), slice(n, None))
+    for m, block in enumerate(blocks):
+        block = block.reshape(lead + (n,) * (r - m) + (n * n,) * m)
+        for kinds in set(permutations((0,) * (r - m) + (1,) * m)):
+            dest = [t - r for t in sorted(range(r), key=kinds.__getitem__)]
+            T[(...,) + tuple(part[k] for k in kinds)] = np.moveaxis(block, range(-r, 0), dest)
+    return T
+
+
+def _slots(p: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The slot vector z = (p_k, then M_ij row by row) of a jet, on the last axis."""
+    return _slot_tensor((p, M))
+
+
+def _slot_form(blocks, z: np.ndarray) -> np.ndarray:
+    """The r-th derivative of f on r copies of the slots z, pointwise."""
+    idx = "ijk"[:len(blocks) - 1]
+    return np.einsum(f"...{idx}," + ",".join("..." + i for i in idx) + "->...",
+                     _slot_tensor(blocks), *[z] * len(idx))
+
+
+def adjoint_jet(w: np.ndarray, fine: TorusGrid, coarse: TorusGrid) -> SpectralField:
+    """J*(q, N) = -div q + hess : N of the slot field w = (q, N), assembled
+    spectrally from one transform of the slots and truncated."""
+    symbols, index = _jet_table(fine, 2)
+    # -m_k on the slots q_k, then m_i m_j on the slots N_ij
+    symbols = np.concatenate([-symbols[index[1]], symbols[index[2].ravel()]])
     out = np.zeros(fine.shape, dtype=complex)
-    for k in range(n):
-        out -= mults[k] * samples_to_coeffs(q[..., k], fine)
-    for i in range(n):
-        for j in range(n):
-            out += mults[i] * mults[j] * samples_to_coeffs(N[..., i, j], fine)
+    for symbol, c in zip(symbols, samples_to_coeffs(np.moveaxis(w, -1, 0), fine)):
+        out += symbol * c
     return SpectralField(coarse, truncate_coeffs(out, fine, coarse))
 
 
@@ -165,9 +207,9 @@ def first_variation(f: EnergyDensity, eta: SpectralField) -> SpectralField:
     match this field to the order of the differencing alone.
     """
     (p,), (M,), fine = _jet_fields(eta)
-    fp, fM = f.grad(p, M)
-    check_finite(f, fp, fM)
-    return adjoint_jet(fp, fM, fine, eta.grid)
+    w = _slots(*f.grad(p, M))
+    check_finite(f, w)
+    return adjoint_jet(w, fine, eta.grid)
 
 
 def first_variation_expanded(f: EnergyDensity, eta: SpectralField) -> SpectralField:
@@ -194,11 +236,9 @@ def first_variation_expanded(f: EnergyDensity, eta: SpectralField) -> SpectralFi
 def second_variation_apply(f: EnergyDensity, eta: SpectralField, phi: SpectralField) -> SpectralField:
     """(d2W(eta)) phi = J*(hess f(J eta) . J phi)."""
     (p, gp), (M, gM), fine = _jet_fields(eta, phi)
-    fpp, fpM, fMM = f.hess(p, M)
-    q = np.einsum("...kl,...l->...k", fpp, gp) + np.einsum("...kij,...ij->...k", fpM, gM)
-    N = np.einsum("...lij,...l->...ij", fpM, gp) + np.einsum("...ijkl,...kl->...ij", fMM, gM)
-    check_finite(f, q, N)
-    return adjoint_jet(q, N, fine, eta.grid)
+    w = np.einsum("...ij,...j->...i", _slot_tensor(f.hess(p, M)), _slots(gp, gM))
+    check_finite(f, w)
+    return adjoint_jet(w, fine, eta.grid)
 
 
 def third_variation_apply(
@@ -217,35 +257,7 @@ def third_variation_apply(
     if fMMM.any():
         N += np.einsum("...ijklrs,...kl,...rs->...ij", fMMM, gM, hM)
     check_finite(f, q, N)
-    return adjoint_jet(q, N, fine, eta.grid)
-
-
-@cache
-def _hessian_table(n: int):
-    """The terms of hess f . (J zeta x J zeta) = fpp.(gp x gp) + 2 fpM.(gp x gM) + fMM.(gM x gM).
-
-    The jet (gp, gM) is read as n + n^2 slots (gp_k, then gM_ij row by row) and
-    the Hessian as its flattened entries H_h (fpp, fpM, fMM).  Returns the
-    distinct slot pairs (I, J), I <= J, and the weights W (entries, pairs) that
-    place each entry on its pair, so that the form is sum_q (H W)_q z_I z_J.
-    """
-    p = range(n)
-    M = [n + n * i + j for i in range(n) for j in range(n)]
-    terms = ([(k, l, 1.0) for k in p for l in p] + [(k, m, 2.0) for k in p for m in M]
-             + [(m, q, 1.0) for m in M for q in M])
-    pairs, entry_pair = np.unique([sorted(t[:2]) for t in terms], axis=0, return_inverse=True)
-    W = np.zeros((len(terms), len(pairs)))
-    W[np.arange(len(terms)), entry_pair.ravel()] = [t[2] for t in terms]
-    return pairs, W
-
-
-def _hessian_entries(hess) -> np.ndarray:
-    return np.concatenate([h.reshape(h.shape[:h.ndim - k] + (-1,))
-                           for h, k in zip(hess, (2, 3, 4))], axis=-1)
-
-
-def _jet_slots(gp: np.ndarray, gM: np.ndarray) -> np.ndarray:
-    return np.concatenate([gp, gM.reshape(gM.shape[:-2] + (-1,))], axis=-1)
+    return adjoint_jet(_slots(q, N), fine, eta.grid)
 
 
 def hessian_form(hess, gp: np.ndarray, gM: np.ndarray) -> np.ndarray:
@@ -254,10 +266,7 @@ def hessian_form(hess, gp: np.ndarray, gM: np.ndarray) -> np.ndarray:
     `hess` = (fpp, fpM, fMM) is evaluated along the jet of eta and (gp, gM)
     is the jet of zeta; any common leading shape is kept.
     """
-    pairs, W = _hessian_table(gp.shape[-1])
-    z = _jet_slots(gp, gM)
-    return np.einsum("...q,...q->...", _hessian_entries(hess) @ W,
-                     z[..., pairs[:, 0]] * z[..., pairs[:, 1]])
+    return _slot_form(hess, _slots(gp, gM))
 
 
 def hessian_form_total(hess, gp: np.ndarray, gM: np.ndarray) -> float:
@@ -265,16 +274,14 @@ def hessian_form_total(hess, gp: np.ndarray, gM: np.ndarray) -> float:
 
     `hess` is evaluated at the points, shape (*points, ...), and (gp, gM) are
     the jets of the copies, shape (copies, *points, ...).  The slot products
-    z_I z_J are summed over the copies first, then dotted with the Hessian's
-    weight on their pair.
+    z_I z_J are summed over the copies first, then dotted with the Hessian.
     """
-    pairs, W = _hessian_table(gp.shape[-1])
-    HW = (_hessian_entries(hess) @ W).reshape(-1, len(pairs))
-    # slots first, (slot, copy, point), so each pair's sum over the copies is one einsum
-    z = np.moveaxis(_jet_slots(gp, gM).reshape(len(gp), len(HW), -1), -1, 0)
-    z = np.ascontiguousarray(z)
-    S = np.stack([np.einsum("cx,cx->x", z[i], z[j]) for i, j in pairs])
-    return float(np.einsum("xq,qx->", HW, S)) / len(HW)
+    H = _slot_tensor(hess)
+    s = H.shape[-1]
+    # slots first, (slot, copy, point), so that the sum over the copies is one einsum
+    z = np.ascontiguousarray(np.moveaxis(_slots(gp, gM).reshape(len(gp), -1, s), -1, 0))
+    S = np.einsum("icx,jcx->xij", z, z)
+    return float(np.einsum("xij,xij->", H.reshape(S.shape), S)) / len(S)
 
 
 def quad_energy(f: EnergyDensity, eta: SpectralField, zeta: SpectralField) -> float:
@@ -317,45 +324,28 @@ class EllipticityResult:
 
 
 def ellipticity_check(f: EnergyDensity, g: float, kmax: int, n: int = 2) -> EllipticityResult:
-    """Scan sigma(k)/|2 pi k|^4 over 0 < |k|_inf <= kmax; verdict = min > 0."""
+    """Scan sigma(k)/|2 pi k|^4 over 0 < |k|_inf <= kmax, one k per +-k pair;
+    verdict = min > 0."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    candidates = []
-    for idx in product(range(-kmax, kmax + 1), repeat=n):
-        if all(c == 0 for c in idx):
-            continue
-        candidates.append(idx)
-    candidates.sort(key=lambda kt: (sum(c * c for c in kt), kt))
     best = None
     best_k = None
-    for kt in candidates:
+    # sigma(-k) == sigma(k) bit for bit, so one k per pair suffices; the (|k|^2, -k)
+    # order meets each pair where a scan of every k in (|k|^2, k) order would, which
+    # keeps the same first minimum under the 1e-15 tie-break
+    for kt in sorted(conjugacy_representatives(kmax, n),
+                     key=lambda kt: (sum(c * c for c in kt), tuple(-c for c in kt))):
         kappa4 = (2.0 * np.pi) ** 4 * float(sum(c * c for c in kt)) ** 2
         ratio = hessian_symbol(f, g, kt, n=n) / kappa4
         if best is None or ratio < best - 1e-15:
             best = ratio
             best_k = kt
-    if best_k < tuple(-c for c in best_k):  # report the conjugacy representative
-        best_k = tuple(-c for c in best_k)
     return EllipticityResult(min_ratio=best, argmin_k=best_k, verdict=best > 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Taylor splitting with integral remainder
 # ---------------------------------------------------------------------------
-
-
-def _contract_grad(grad, p, M):
-    fp, fM = grad
-    return np.einsum("...k,k->...", fp, p) + np.einsum("...ij,ij->...", fM, M)
-
-
-def _contract_third(third, p, M):
-    fppp, fppM, fpMM, fMMM = third
-    out = np.einsum("...klm,k,l,m->...", fppp, p, p, p)
-    out += 3.0 * np.einsum("...klij,k,l,ij->...", fppM, p, p, M)
-    out += 3.0 * np.einsum("...mijkl,m,ij,kl->...", fpMM, p, M, M)
-    out += np.einsum("...ijklrs,ij,kl,rs->...", fMMM, M, M, M)
-    return out
 
 
 @cache
@@ -377,21 +367,17 @@ def taylor_split(f: EnergyDensity, order: int, z: Jet) -> tuple[float, float]:
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
-    n = z.p.size
-    f0, grad0, hess0 = f.at_origin(n)
-
+    slots = _slots(z.p, z.M)
+    f0, *origin = f.at_origin(z.p.size)
     poly = f0
-    if order >= 1:
-        poly += float(_contract_grad(grad0, z.p, z.M))
-    if order >= 2:
-        poly += 0.5 * float(hessian_form(hess0, z.p, z.M))
+    for r, blocks in enumerate(origin[:order], 1):
+        poly += float(_slot_form(blocks, slots)) / factorial(r)
 
     derivative = (f.grad, f.hess, f.third)[order]
-    contract = (_contract_grad, hessian_form, _contract_third)[order]
     rules = []
     for m in (24, 48):
         t, w = _unit_gauss_legendre(m)
-        vals = contract(derivative(t[:, None] * z.p, t[:, None, None] * z.M), z.p, z.M)
+        vals = _slot_form(derivative(t[:, None] * z.p, t[:, None, None] * z.M), slots)
         rules.append(float(np.sum(w * (1.0 - t) ** order * vals)) / factorial(order))
     coarse, remainder = rules
     if not np.isfinite(remainder) or abs(remainder - coarse) > 1e-9 * max(1.0, abs(remainder)):

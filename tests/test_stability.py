@@ -1,11 +1,13 @@
 """Per-wavevector eigenproblems: assembly, spectra, resolvent, decay rates."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from slabflow import densities as dn
 from slabflow import stability as st
-from slabflow.surface_energy import ellipticity_check, hessian_symbol
+from slabflow.surface_energy import EllipticityResult, ellipticity_check, hessian_symbol
 
 BETA_STAR = (4 * np.pi**2 + 1) / (16 * np.pi**4)
 
@@ -196,3 +198,30 @@ def test_conjugacy_representative_count():
     # |k|_inf <= 2 up to conjugacy: 12 nonzero representatives
     assert len(st.conjugacy_representatives(2, 2)) == 12
     assert len(st.conjugacy_representatives(1, 1)) == 1
+
+
+def full_box_ellipticity(density, g, kmax, n):
+    """sigma(k)/|2 pi k|^4 over every 0 < |k|_inf <= kmax in (|k|^2, k) order,
+    first minimum below the best by more than 1e-15, reported by its representative."""
+    box = sorted((k for k in product(range(-kmax, kmax + 1), repeat=n) if any(k)),
+                 key=lambda kt: (sum(c * c for c in kt), kt))
+    best = best_k = None
+    for kt in box:
+        kappa4 = (2 * np.pi) ** 4 * sum(c * c for c in kt) ** 2
+        ratio = hessian_symbol(density, g, kt, n=n) / kappa4
+        if best is None or ratio < best - 1e-15:
+            best, best_k = ratio, kt
+    return EllipticityResult(best, max(best_k, tuple(-c for c in best_k)), best > 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_representative_scan_matches_the_full_box(n):
+    C0 = [[2.0, 0.3], [0.3, 1.0]] if n == 2 else [[2.0]]
+    densities = [dn.area(1.0), dn.willmore(), dn.scalar_willmore(1.0, 0.7, n=n),
+                 dn.anisotropic(C0=C0, n=n), dn.combo(-1.0, 0.5), dn.combo(-1.0, 0.5 * BETA_STAR)]
+    verdicts = set()
+    for density, g, kmax in product(densities, (0.0, 1.0, -1.0), range(1, 5)):
+        result = ellipticity_check(density, g, kmax, n)
+        assert result == full_box_ellipticity(density, g, kmax, n)
+        verdicts.add(result.verdict)
+    assert verdicts == {True, False}
