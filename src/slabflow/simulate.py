@@ -265,9 +265,12 @@ class Simulator:
         self.g = float(g)
         self.dom = dom
         self.layout = ModeLayout(dom.n, dom.M_v)
-        # The only per-mode store; `op` and `sigma` rebuild on every call, since a
-        # cached operator would keep two complex dim x dim matrices per mode alive.
+        # The per-mode stores: the mode sets, and the kept eigenvectors of each
+        # lattice-symmetry class seeded so far (`eigenmode_data`), about 68 KB a class
+        # at M_v = 24.  `op` and `sigma` rebuild on every call, since a cached
+        # operator would keep two complex dim x dim matrices per mode alive.
         self._mode_sets: dict[tuple, _ModeSet] = {}
+        self._classes: dict[tuple, np.ndarray] = {}
         # The real frame S: -i on the horizontal velocity blocks, 1 elsewhere.  Every
         # complex entry of a mode operator is an i kappa_j coupling a horizontal
         # velocity to u_3 or p, so S A S^-1 is real; S and S^-1 are exact in floats.
@@ -325,18 +328,32 @@ class Simulator:
     def eigenmode_data(self, k, amplitude: float, index: int = 0) -> FlattenedState:
         """Seed the index-th slowest eigenvector of the mode operator at k.
 
-        Raises ValueError unless 0 <= index < the number of eigenpairs that
-        pass the spectral filter at k.
+        One eigensolve serves each lattice-symmetry class: the octant member
+        kc = (max |k_j|, min |k_j|) with sigma(k).  The operator at k is Q L(kc) Q^T,
+        Q swapping and negating horizontal velocity blocks, since kappa enters only
+        as +-2 pi k_j: entry for entry, except where np.dot may round |kappa|^2 of a
+        swapped member one ulp apart, as at (1, +-3).  So the seed at k is Q times
+        the seed at kc, as accurate an eigenvector as a direct solve's.  The resolved
+        count and the pair order are those of the class solve.  Raises ValueError
+        unless 0 <= index < that count.
         """
         kt, _ = _canonical_mode(k, self.dom.n)
         hermitian_scatter(self.dom.horizontal, {kt: 0.0})  # an out-of-band k raises here
-        spec = solve_spectrum(self.op(kt))
-        if not 0 <= index < len(spec.eigenvalues):
+        kc, sigma = tuple(sorted(map(abs, kt), reverse=True)), self.sigma(kt)
+        if (kc, sigma) not in self._classes:
+            op = assemble_mode(kc, self.dom.b, sigma, self.dom.M_v)
+            self._classes[kc, sigma] = solve_spectrum(op).eigenvectors
+        V = self._classes[kc, sigma]
+        if not 0 <= index < V.shape[1]:
             raise ValueError(f"eigenmode index {index} out of range: "
-                             f"{len(spec.eigenvalues)} eigenpairs resolved at k={kt}")
-        v = spec.eigenvectors[:, index].copy()
+                             f"{V.shape[1]} eigenpairs resolved at k={kt}")
+        v = V[:, index].copy()
         scale = np.max(np.abs(v))
         v *= amplitude / scale
+        u, _, _ = self.layout.blocks(v)  # the seed at k is Q times the seed at kc
+        if abs(kt[0]) < abs(kt[-1]):
+            u[:2] = u[1::-1].copy()
+        np.negative(u[:self.dom.n], out=u[:self.dom.n], where=np.array(kt)[:, None] < 0)
         if all(c == 0 for c in kt):
             v = v.real.astype(complex)
         return FlattenedState(self.dom, {kt: v}, 0.0)

@@ -16,7 +16,7 @@ from slabflow import densities as dn
 from slabflow import simulate as sim
 from slabflow import stability as st
 from slabflow import surface_energy as se
-from slabflow.fourier import SpectralField, TorusGrid
+from slabflow.fourier import SpectralField, TorusGrid, conjugacy_representatives
 from slabflow.geometry import FlattenedDomain
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -73,5 +73,22 @@ def test_deferred_lapack_calls_are_traced(tracing):
         parents = {(span[0], tracer.parent_name(span)) for span in tracer.spans}
         assert ("stability.eig", "stability.solve_spectrum") in parents
         assert ("simulate.stepper_factor", "simulate.step") in parents
+    finally:
+        tracer.uninstall()
+
+
+def test_eigenmode_seeds_solve_once_per_class(tracing):
+    # the 40 `stepping` wavevectors hold 16 (octant member, sigma) classes, and
+    # eigenmode_data solves through simulate's solve_spectrum, which the tracer wraps
+    dom = FlattenedDomain(b=1.0, horizontal=TorusGrid(2, 32), M_v=24)
+    s = sim.Simulator(dn.combo(-1.0, 0.042), -1.0, dom)
+    tracer = tracing.Tracer((RuntimeError, ValueError))
+    try:
+        tracing.wrap_slabflow(tracer)
+        for k in conjugacy_representatives(4, 2):
+            s.eigenmode_data(k, 1e-4)
+        assert tracer.sample_counts("simulate.init_state") == 40
+        assert tracer.sample_counts("stability.solve_spectrum") == 16
+        assert tracer.sample_counts("stability.assemble_mode") == 16
     finally:
         tracer.uninstall()
