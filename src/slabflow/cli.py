@@ -387,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory for generated files")
     parser.add_argument("--seed", type=_non_negative_int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=_positive_int, default=1, help="threads for mode sweeps")
+    parser.add_argument("--threads", type=_positive_int, default=1,
+                        help="mode-sweep threads; each eigensolve holds the GIL, so they take turns")
     parser.add_argument(
         "command",
         choices=["variations", "figure-forces", "ellipticity", "dispersion",

@@ -31,8 +31,6 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-# scipy.linalg is imported in _propagator and _equilibrium_factors, its only callers
-# here: loading it costs about 0.3 s, which no surface-energy command should pay.
 
 from . import geometry as geo
 from . import surface_energy as se
@@ -40,8 +38,8 @@ from .densities import EnergyDensity
 from .fourier import SpectralField, derivative_multiplier, hermitian_scatter, mode_samples
 from .geometry import BulkField, FlattenedDomain
 # perfbench/tracing.py wraps assemble_mode and solve_spectrum on this module.
-from .stability import (ModeLayout, ModeOperator, NumericError, assemble_mode, mode_sigma,
-                        solve_spectrum, time_derivative_trace)
+from .stability import (ModeLayout, ModeOperator, NumericError, _scipy_linalg, assemble_mode,
+                        mode_sigma, solve_spectrum, time_derivative_trace)
 
 __all__ = [
     "ModeSeed",
@@ -394,7 +392,7 @@ class Simulator:
         S A1^-1 A2 S^-1, factored from the real S A1 S^-1 and S A2 S^-1."""
         c = self._mode_set(keys)
         if (dt, scheme) not in c.propagators:
-            import scipy.linalg
+            linalg = _scipy_linalg()
             theta = 0.5 if scheme == "crank-nicolson" else 1.0
             s = self._phase
             P = np.empty((len(keys), self.layout.dim, self.layout.dim))
@@ -406,7 +404,7 @@ class Simulator:
                 A1, A2 = (s[:, None] * A * s.conj() for A in (A1, A2))
                 if np.any(A1.imag) or np.any(A2.imag):
                     raise NumericError(f"stepper matrices at k={kt} are not real in the frame")
-                P[i] = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A1.real), A2.real)
+                P[i] = linalg.lu_solve(linalg.lu_factor(A1.real), A2.real)
             c.propagators[dt, scheme] = P
         return c.propagators[dt, scheme]
 
@@ -478,7 +476,7 @@ class Simulator:
         R^T R = A^T A without forming A^T A, which would square its conditioning.
         eta enters neither factor.
         """
-        import scipy.linalg
+        linalg = _scipy_linalg()
         dom, lay = self.dom, self.layout
         n, D = dom.n, dom.D3
         blocks = [np.r_[lay.u(0), lay.u(n).start:lay.p.stop]] + [np.r_[lay.u(1)]] * (n == 2)
@@ -504,7 +502,7 @@ class Simulator:
                 for b, cols in enumerate(blocks):
                     # Householder QR of the rows in their natural order: sorting them by
                     # norm or dropping the zero ones left D_eq 10-100 times less accurate
-                    R = scipy.linalg.lapack.dgeqrf(A[:, cols])[0]
+                    R = linalg.lapack.dgeqrf(A[:, cols])[0]
                     factors[b][i, :, f * cols.size:(f + 1) * cols.size] = np.triu(R[:cols.size]).T
         return tuple(factors)
 

@@ -19,6 +19,9 @@ The k = 0 branch freezes eta_hat (zero-average normalization): horizontal
 mean flow relaxes with its own no-slip/free-slip rates and carries no
 surface dynamics; its pressure, fixed only up to a constant, is gauged by
 p(bottom) = 0 in place of the dependent bottom-node divergence row.
+
+Every LAPACK call here and in `simulate` goes through `_scipy_linalg`, which runs
+scipy's OpenBLAS on the calling thread, so no result depends on its thread count.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-# scipy.linalg is imported in _matmul, solve_spectrum and resolvent_solve, its only
-# callers here: loading it costs about 0.3 s, which no surface-energy command should pay.
 
 from .densities import EnergyDensity
 from .fourier import conjugacy_representatives
@@ -218,19 +219,39 @@ class Spectrum:
         return float(self.eigenvalues[0].real)
 
 
-def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x by zgemm of scipy's bundled OpenBLAS, the copy `scipy.linalg` runs on;
-    numpy bundles another copy with its own thread pool, and alternating the two
-    pools lets each one's spinning workers starve the other's."""
+_pinned = None  # True once _scipy_linalg set scipy's OpenBLAS to one thread, False if it could not
+
+
+def _scipy_linalg():
+    """`scipy.linalg`, imported on first use and not at load (0.3 s that no surface-energy
+    command should pay).  The first call sets scipy's bundled OpenBLAS to one thread for
+    the rest of the process: a second thread only spins beside LAPACK on matrices this
+    small.  numpy's copy, and a scipy without the wheel's `scipy.libs`, keep their pools."""
+    global _pinned
     import scipy.linalg
-    return scipy.linalg.blas.zgemm(1.0, a, x.reshape(x.shape[0], -1)).reshape(x.shape)
+    if _pinned is None:  # a racing second pin to 1 is harmless
+        import ctypes, glob, os
+        libs = glob.glob(os.path.dirname(scipy.__path__[0]) + "/scipy.libs/libscipy_openblas*.so")
+        try:
+            ctypes.CDLL(libs[0]).scipy_openblas_set_num_threads(1)
+            _pinned = True
+        except (IndexError, OSError, AttributeError):
+            _pinned = False
+    return scipy.linalg
+
+
+def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x by zgemm of scipy's bundled OpenBLAS, the one-thread copy `scipy.linalg`
+    runs on; numpy bundles another copy whose pool stays at its default size, and
+    alternating the two pools lets each one's spinning workers starve the other's."""
+    return _scipy_linalg().blas.zgemm(1.0, a, x.reshape(x.shape[0], -1)).reshape(x.shape)
 
 
 def solve_spectrum(op: ModeOperator) -> Spectrum:
     """Dense generalized eigensolve with residual-based spurious-mode filter."""
-    import scipy.linalg
+    linalg = _scipy_linalg()
     try:
-        w, V = scipy.linalg.eig(op.L, op.B)
+        w, V = linalg.eig(op.L, op.B)
     except Exception as exc:  # pragma: no cover - scipy failure paths
         raise NumericError(f"eigensolver failed at k={op.k}: {exc}") from exc
     # residual ||L v - w B v|| / ||v|| of every finite eigenpair with a nonzero vector;
@@ -259,10 +280,10 @@ def resolvent_solve(op: ModeOperator, dt: float, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("dt must be positive")
     A = op.B / dt + op.L
     b = (op.B.diagonal() * rhs.T).T / dt
-    import scipy.linalg
+    linalg = _scipy_linalg()
     try:
-        x = scipy.linalg.solve(A, b)
-    except scipy.linalg.LinAlgError as exc:
+        x = linalg.solve(A, b)
+    except linalg.LinAlgError as exc:
         raise NumericError(f"resolvent solve failed at k={op.k}: {exc}") from exc
     scale = np.linalg.norm(b)
     resid = np.linalg.norm(_matmul(A, x) - b)
