@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: variations | figure-forces | ellipticity | dispersion |
-simulate | geometry-check | validate.  Exit codes: 0 success, 2 config
-error, 3 ellipticity failure, 4 numeric failure.  All CSV output is
-comma-separated with a header row, 17-significant-digit floats, and LF
-line endings; identical config and seed give byte-identical files.
+Subcommands: the config-reading ones in `COMMANDS`, and `validate`.
+Exit codes: 0 success, 2 config error, 3 ellipticity failure, 4 numeric
+failure.  All CSV output is comma-separated with a header row,
+17-significant-digit floats, and LF line endings; identical config and
+seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -162,11 +162,10 @@ def cmd_ellipticity(cfg: RunConfig, out: str) -> int:
     return EXIT_OK if result.verdict else EXIT_ELLIPTICITY
 
 
-def cmd_dispersion(cfg: RunConfig, out: str, threads: int) -> int:
+def cmd_dispersion(cfg: RunConfig, out: str) -> int:
     density = cfg.density()
     n = cfg.grid.n
-    modes, eigs = st.mode_sweep(density, cfg.gravity, cfg.depth, cfg.kmax, cfg.grid.M_v,
-                                n, threads)
+    modes, eigs = st.mode_sweep(density, cfg.gravity, cfg.depth, cfg.kmax, cfg.grid.M_v, n)
     rows = []
     for kt, w in zip(modes, eigs):
         lam2 = w[1] if w.size > 1 else complex("nan")
@@ -201,8 +200,7 @@ def cmd_simulate(cfg: RunConfig, out: str) -> int:
         except ValueError as exc:
             raise ConfigError(f"initial_data.eigenmode: {exc}") from exc
     else:
-        seeds = [sim.ModeSeed(m.k, m.eta, m.u) for m in cfg.modes]
-        state = simulator.admissible_data(seeds)
+        state = simulator.admissible_data(list(cfg.modes))
         state = simulator.init_pressure(state)
     settings = sim.SimulationSettings(dt=cfg.time.dt, horizon=cfg.time.horizon,
                                       output_interval=cfg.time.output_interval,
@@ -359,6 +357,17 @@ def cmd_validate(seed: int) -> int:
     return _check_table("validate", _validation_suite(seed))
 
 
+# the subcommands that read a config, each run as cmd(cfg, out)
+COMMANDS = {
+    "variations": cmd_variations,
+    "figure-forces": cmd_figure_forces,
+    "ellipticity": cmd_ellipticity,
+    "dispersion": cmd_dispersion,
+    "simulate": cmd_simulate,
+    "geometry-check": cmd_geometry_check,
+}
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -388,12 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=_non_negative_int, default=None,
                         help="override the config seed")
     parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="mode-sweep threads; each eigensolve holds the GIL, so they take turns")
-    parser.add_argument(
-        "command",
-        choices=["variations", "figure-forces", "ellipticity", "dispersion",
-                 "simulate", "geometry-check", "validate"],
-    )
+                        help="accepted and has no effect: the mode sweep runs serially, "
+                             "since each eigensolve holds the GIL")
+    parser.add_argument("command", choices=[*COMMANDS, "validate"])
     return parser
 
 
@@ -409,19 +415,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "variations":
-            return cmd_variations(cfg, args.out)
-        if args.command == "figure-forces":
-            return cmd_figure_forces(cfg, args.out)
-        if args.command == "ellipticity":
-            return cmd_ellipticity(cfg, args.out)
-        if args.command == "dispersion":
-            return cmd_dispersion(cfg, args.out, args.threads)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out)
-        if args.command == "geometry-check":
-            return cmd_geometry_check(cfg, args.out)
-        raise AssertionError("unreachable")
+        return COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

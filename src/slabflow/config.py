@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields
 
 from . import densities
 from .densities import EnergyDensity
+from .simulate import ModeSeed
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
@@ -81,13 +82,6 @@ def _as_square_matrix(v, path: str, n: int) -> list[list[float]]:
 
 
 @dataclass(frozen=True)
-class ModeEntry:
-    k: tuple[int, ...]
-    eta: complex = 0.0
-    u: complex = 0.0
-
-
-@dataclass(frozen=True)
 class GridSection:
     n: int = 2
     N: int = 32
@@ -120,13 +114,13 @@ class RunConfig:
     depth: float = 1.0
     grid: GridSection = field(default_factory=GridSection)
     time: TimeSection = field(default_factory=TimeSection)
-    modes: tuple[ModeEntry, ...] = ()
+    modes: tuple[ModeSeed, ...] = ()
     eigenmode: dict | None = None
     kmax: int = 4
     seed: int = 0
     figure: FigureSection = field(default_factory=FigureSection)
-    variations_eta: tuple[ModeEntry, ...] = ()
-    variations_phi: tuple[ModeEntry, ...] = ()
+    variations_eta: tuple[ModeSeed, ...] = ()
+    variations_phi: tuple[ModeSeed, ...] = ()
 
     def density(self) -> EnergyDensity:
         return densities._build_from_params(self.density_params, n=self.grid.n)
@@ -145,7 +139,7 @@ def _as_wavevector(raw, path: str, grid: GridSection) -> tuple[int, ...]:
     return k
 
 
-def _parse_mode_list(raw, path: str, grid: GridSection) -> tuple[ModeEntry, ...]:
+def _parse_mode_list(raw, path: str, grid: GridSection) -> tuple[ModeSeed, ...]:
     if raw is None:
         return ()
     if not isinstance(raw, list):
@@ -160,7 +154,7 @@ def _parse_mode_list(raw, path: str, grid: GridSection) -> tuple[ModeEntry, ...]
         eta = _as_complex(_take(entry, p, "eta", 0.0), f"{p}.eta")
         u = _as_complex(_take(entry, p, "u", 0.0), f"{p}.u")
         _no_leftovers(entry, p)
-        out.append(ModeEntry(k=k, eta=eta, u=u))
+        out.append(ModeSeed(k=k, eta=eta, u=u))
     return tuple(out)
 
 

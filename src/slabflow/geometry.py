@@ -334,11 +334,6 @@ def bulk_integral(f: BulkField | np.ndarray, dom: FlattenedDomain | None = None)
     return float(np.tensordot(per_level, dom.w3, axes=([-1], [0])))
 
 
-def surface_integral(values: np.ndarray) -> float:
-    """Integral over one horizontal boundary (torus mean)."""
-    return float(np.mean(values))
-
-
 def piola_residual(eta: SpectralField, dom: FlattenedDomain) -> float:
     """Max norm of div(J A) over the grid (zero in the continuum).
 
@@ -350,11 +345,8 @@ def piola_residual(eta: SpectralField, dom: FlattenedDomain) -> float:
     JA = geo.J.values * geo.A.values
     for i in range(dom.ncomp):
         JA[i, i] -= 1.0
-    res = np.zeros((dom.ncomp,) + geo.J.values.shape)
-    for i in range(dom.ncomp):
-        for j in range(dom.n):
-            res[i] += _horizontal_derivative(JA[i, j], dom, j)
-        res[i] += _vertical_derivative(JA[i, dom.n], dom)
+    res = sum(_horizontal_derivative(JA[:, j], dom, j) for j in range(dom.n))
+    res += _vertical_derivative(JA[:, dom.n], dom)
     return float(np.max(np.abs(res)))
 
 
@@ -364,8 +356,8 @@ def div_theorem_residual(v: BulkField, eta: SpectralField, dom: FlattenedDomain)
         raise ValueError("div_theorem_residual expects a vector field")
     geo = geometric_coefficients(eta, dom)
     volume = bulk_integral(BulkField(dom, geo_divergence(v, geo.A).values * geo.J.values))
-    top = surface_integral(np.einsum("i...,i...->...", v.values[..., 0], geo.nu_top))
-    bot = surface_integral(-v.values[dom.n, ..., -1])
+    top = np.mean(np.einsum("i...,i...->...", v.values[..., 0], geo.nu_top))
+    bot = np.mean(-v.values[dom.n, ..., -1])
     return float(abs(volume - (top + bot)))
 
 

@@ -27,7 +27,6 @@ scipy's OpenBLAS on the calling thread, so no result depends on its thread count
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -229,7 +228,7 @@ def _scipy_linalg():
     small.  numpy's copy, and a scipy without the wheel's `scipy.libs`, keep their pools."""
     global _pinned
     import scipy.linalg
-    if _pinned is None:  # a racing second pin to 1 is harmless
+    if _pinned is None:
         import ctypes, glob, os
         libs = glob.glob(os.path.dirname(scipy.__path__[0]) + "/scipy.libs/libscipy_openblas*.so")
         try:
@@ -297,44 +296,23 @@ def mode_sigma(density: EnergyDensity, g: float, k, n: int) -> float:
     return 0.0 if all(c == 0 for c in k) else hessian_symbol(density, g, k, n=n)
 
 
-def mode_sweep(
-    density: EnergyDensity,
-    g: float,
-    b: float,
-    kmax: int,
-    M_v: int,
-    n: int = 2,
-    threads: int = 1,
-) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
+def mode_sweep(density: EnergyDensity, g: float, b: float, kmax: int, M_v: int,
+               n: int = 2) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
     """Filtered eigenvalues at k = 0 and at each representative with 0 < |k|_inf <= kmax.
 
     Returns the wavevectors and, in the same order, their eigenvalues sorted
     by ascending real part.  Eigenvectors are dropped as each mode finishes,
     so a sweep holds only eigenvalues in memory.
     """
-
-    def eigenvalues(kt):
-        op = assemble_mode(kt, b, mode_sigma(density, g, kt, n), M_v)
-        return solve_spectrum(op).eigenvalues
-
     modes = [(0,) * n] + conjugacy_representatives(kmax, n)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return modes, list(ex.map(eigenvalues, modes))
-    return modes, [eigenvalues(kt) for kt in modes]
+    ops = (assemble_mode(kt, b, mode_sigma(density, g, kt, n), M_v) for kt in modes)
+    return modes, [solve_spectrum(op).eigenvalues for op in ops]
 
 
-def global_decay_rate(
-    density: EnergyDensity,
-    g: float,
-    b: float,
-    kmax: int,
-    M_v: int,
-    n: int = 2,
-    threads: int = 1,
-) -> tuple[float, tuple[int, ...]]:
+def global_decay_rate(density: EnergyDensity, g: float, b: float, kmax: int, M_v: int,
+                      n: int = 2) -> tuple[float, tuple[int, ...]]:
     """Slowest decay rate over 0 < |k|_inf <= kmax plus the k = 0 branch."""
-    modes, eigs = mode_sweep(density, g, b, kmax, M_v, n, threads)
+    modes, eigs = mode_sweep(density, g, b, kmax, M_v, n)
     rates = [float(w[0].real) for w in eigs]
     i = int(np.argmin(rates))
     return rates[i], modes[i]

@@ -7,6 +7,7 @@ import pytest
 
 from slabflow.cli import main
 from slabflow.config import ConfigError, parse_config
+from slabflow.simulate import ModeSeed
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -70,6 +71,7 @@ class TestOutOfBandWavevectors:
         cfg = parse_config(base_config(
             initial_data={"modes": [{"k": [8, -7], "eta": 1e-3}],
                           "eigenmode": {"k": [8, 0]}}))
+        assert isinstance(cfg.modes[0], ModeSeed)
         assert cfg.modes[0].k == (8, -7)
         assert cfg.eigenmode["k"] == (8, 0)
 

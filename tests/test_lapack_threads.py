@@ -57,14 +57,6 @@ def test_first_solve_pins_scipy_pool_only():
     assert seen["after"] == {"numpy": seen["before"]["numpy"], "scipy": 1}
 
 
-def test_threaded_sweep_leaves_scipy_pool_at_one():
-    code = POOLS + (
-        "import json, slabflow.densities as dn, slabflow.stability as st\n"
-        "modes, eigs = st.mode_sweep(dn.willmore(), 0.0, 1.0, 1, 8, threads=2)\n"
-        "print(json.dumps({'rows': len(eigs), 'after': pools()['scipy'], 'pinned': st._pinned}))\n")
-    assert json.loads(_child("-c", code).splitlines()[-1]) == {"rows": 5, "after": 1, "pinned": True}
-
-
 def test_ellipticity_neither_loads_scipy_linalg_nor_pins(tmp_path):
     cfg = os.path.join(os.path.dirname(SRC), "configs", "area_waves.json")
     code = POOLS + (

@@ -187,12 +187,6 @@ class TestGlobalDecayRate:
             lams.append(spec.lambda_min)
         assert abs(lams[0] - lams[1]) <= 0.01 * abs(lams[1])
 
-    def test_threads_agree(self):
-        f = dn.area(1.0)
-        a, _ = st.global_decay_rate(f, 1.0, 1.0, 2, 16, threads=1)
-        b, _ = st.global_decay_rate(f, 1.0, 1.0, 2, 16, threads=3)
-        assert a == b
-
 
 def test_conjugacy_representative_count():
     # |k|_inf <= 2 up to conjugacy: 12 nonzero representatives
