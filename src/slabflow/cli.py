@@ -124,9 +124,8 @@ def cmd_variations(cfg: RunConfig, out: str) -> int:
 
 def cmd_figure_forces(cfg: RunConfig, out: str) -> int:
     if cfg.grid.n != 1:
-        print("figure-forces requires a one-dimensional surface (grid.n = 1)",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("grid.n: figure-forces needs a one-dimensional surface "
+                          f"(grid.n = 1), got {cfg.grid.n}")
     fig = cfg.figure
     win = pf.LineWindow(fig.window, fig.samples, fig.blend_width)
     shapes = ["tanh", "gaussian"] if fig.profile == "both" else [fig.profile]

@@ -75,6 +75,15 @@ def _sym3(t):
 # ---------------------------------------------------------------------------
 
 
+def _powers(d, a, v, count: int) -> list:
+    """The first `count` v-derivatives of c v^a, starting from d = c v^a."""
+    out = [d]
+    for j in range(count - 1):
+        d = (a - j) * d / v
+        out.append(d)
+    return out[:count]
+
+
 class _Radial:
     """Scalar function of p through v = m0 + m1 |p|^2.
 
@@ -133,12 +142,7 @@ class SqrtRadial(_Radial):
 
     def _phi(self, v, order):
         s = np.sqrt(v)
-        out = [self.scale * (s + self.shift)]
-        d = 0.5 * self.scale / s
-        for j in range(1, order + 1):
-            out.append(d)
-            d = (0.5 - j) * d / v
-        return out
+        return [self.scale * (s + self.shift)] + _powers(0.5 * self.scale / s, -0.5, v, order)
 
 
 class InvSqrtRadial(_Radial):
@@ -150,24 +154,14 @@ class InvSqrtRadial(_Radial):
         self.m0, self.m1, self.scale = float(m0), float(m1), float(scale)
 
     def _phi(self, v, order):
-        d = self.scale / np.sqrt(v)
-        out = [d]
-        for j in range(1, order + 1):
-            d = (0.5 - j) * d / v
-            out.append(d)
-        return out
+        return _powers(self.scale / np.sqrt(v), -0.5, v, order + 1)
 
 
 class _Reciprocal(_Radial):
     """(1 + |p|^2)^(-1), the weight inside the tangent projection."""
 
     def _phi(self, v, order):
-        d = 1.0 / v
-        out = [d]
-        for j in range(1, order + 1):
-            d = -j * d / v
-            out.append(d)
-        return out
+        return _powers(1.0 / v, -1.0, v, order + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +293,7 @@ class EnergyDensity:
     # -- convenience -------------------------------------------------------
 
     def at_origin(self, n: int):
-        cache = getattr(self, "_origin_cache", None)
-        if cache is None:
-            cache = {}
-            try:
-                object.__setattr__(self, "_origin_cache", cache)
-            except AttributeError:
-                self._origin_cache = cache
+        cache = self.__dict__.setdefault("_origin_cache", {})
         if n not in cache:
             p0 = np.zeros((1, n))
             M0 = np.zeros((1, n, n))

@@ -334,10 +334,6 @@ class SpectralField:
     def samples(self) -> np.ndarray:
         return coeffs_to_samples(self.coeffs, self.grid)
 
-    def mean(self) -> float:
-        idx = (0,) * self.grid.n
-        return float(self.coeffs[idx].real)
-
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         flipped = self.coeffs
         for axis in range(self.grid.n):
@@ -358,9 +354,6 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
 
     def _check_same_grid(self, other: "SpectralField"):
         if other.grid != self.grid:

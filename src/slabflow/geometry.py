@@ -163,17 +163,6 @@ class BulkField:
     def rank(self) -> int:
         return self.values.ndim - self.dom.n - 1
 
-    def __add__(self, other):
-        return BulkField(self.dom, self.values + other.values)
-
-    def __sub__(self, other):
-        return BulkField(self.dom, self.values - other.values)
-
-    def __mul__(self, scalar):
-        return BulkField(self.dom, self.values * scalar)
-
-    __rmul__ = __mul__
-
 
 # ---------------------------------------------------------------------------
 # harmonic extension and geometric coefficients

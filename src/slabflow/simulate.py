@@ -194,8 +194,8 @@ class FitError(RuntimeError):
     """Decay-rate fit is not applicable (too few samples or non-positive energy)."""
 
 
-def measure_decay_rate(trace: EnergyTrace, fraction: float = 0.5):
-    """Log-linear least squares of E_eq over the tail of the trace.
+def measure_decay_rate(trace: EnergyTrace):
+    """Log-linear least squares of E_eq over the second half of the trace.
 
     Returns (rate, r_squared, valid); valid requires R^2 >= 0.999.
     """
@@ -203,7 +203,7 @@ def measure_decay_rate(trace: EnergyTrace, fraction: float = 0.5):
     E = np.asarray(trace.E_eq, dtype=float)
     if t.size < 10:
         raise FitError("need at least 10 samples")
-    start = int(np.floor(t.size * (1.0 - fraction)))
+    start = t.size // 2
     t, E = t[start:], E[start:]
     if np.any(E <= 0.0):
         raise FitError("energies must be positive for a log-linear fit")

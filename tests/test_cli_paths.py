@@ -1,0 +1,78 @@
+"""Command-line paths on the shipped configs: the figure-forces grid guard,
+the --seed override, a degenerate flattening map, the not-elliptic warning
+and an odd-sized vertical grid."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from slabflow.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def config_copy(tmp_path, name, edit, filename="c.json"):
+    """configs/<name>.json with `edit` applied to its dict, written under tmp_path."""
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    edit(cfg)
+    path = tmp_path / filename
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_figure_forces_on_two_dimensions_is_a_config_error(tmp_path, capsys):
+    assert json.loads((CONFIGS / "area_waves.json").read_text())["grid"]["n"] == 2
+    out = tmp_path / "out"
+    assert main(["--config", str(CONFIGS / "area_waves.json"), "--out", str(out),
+                 "figure-forces"]) == 2
+    assert capsys.readouterr().err.startswith("config error: grid.n: ")
+    assert not list(out.glob("forces_*.csv"))
+
+
+def test_seed_flag_overrides_the_config_seed(tmp_path):
+    def with_seed(seed):
+        return lambda cfg: cfg.update(seed=seed)
+
+    seed0 = config_copy(tmp_path, "area_waves", with_seed(0), "seed0.json")
+    seed5 = config_copy(tmp_path, "area_waves", with_seed(5), "seed5.json")
+    assert main(["--config", seed0, "--out", str(tmp_path / "flag"), "--seed", "5",
+                 "variations"]) == 0
+    assert main(["--config", seed5, "--out", str(tmp_path / "five"), "variations"]) == 0
+    assert main(["--config", seed0, "--out", str(tmp_path / "zero"), "variations"]) == 0
+    for csv in ("variations.csv", "variations_report.csv"):
+        flag = (tmp_path / "flag" / csv).read_bytes()
+        assert flag == (tmp_path / "five" / csv).read_bytes()
+        assert flag != (tmp_path / "zero" / csv).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["geometry-check", "simulate"])
+def test_steep_elevation_is_a_numeric_failure(tmp_path, capsys, command):
+    def steep(cfg):
+        cfg["initial_data"]["modes"] = [{"k": [1, 0], "eta": 0.3}]
+
+    out = tmp_path / "out"
+    assert main(["--config", config_copy(tmp_path, "area_waves", steep), "--out", str(out),
+                 command]) == 4
+    assert "numeric failure: flattening map degenerates" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
+def test_simulate_warns_when_not_elliptic(tmp_path, capsys):
+    def below_threshold(cfg):
+        cfg["density"]["beta"] = 0.02
+        cfg["time"]["horizon"] = 0.01
+
+    path = config_copy(tmp_path, "combo_stable", below_threshold)
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "simulate"]) == 0
+    assert "warning: configuration is not elliptic (min ratio -" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["geometry-check", "variations"])
+def test_odd_vertical_grid_runs(tmp_path, command):
+    # N = 10 pads to 16 (N = 2 mod 4); M_v = 25 takes the even-N branch of clenshaw_curtis
+    def resize(cfg):
+        cfg["grid"].update(N=10, M_v=25)
+
+    path = config_copy(tmp_path, "area_waves", resize)
+    assert main(["--config", path, "--out", str(tmp_path / "out"), command]) == 0
