@@ -33,12 +33,9 @@ def main():
     for name, density, g in CONFIGS:
         t0 = time.time()
         s = sim.Simulator(density, g, dom)
-        best = None
-        for kt in st.conjugacy_representatives(2, 2):
-            lam = st.solve_spectrum(s.op(kt)).lambda_min
-            if best is None or lam < best[0]:
-                best = (lam, kt)
-        lam, kt = best
+        modes, eigs = st.mode_sweep(density, g, dom.b, 2, dom.M_v)
+        i = min(range(1, len(modes)), key=lambda j: eigs[j][0].real)
+        lam, kt = float(eigs[i][0].real), modes[i]
         state = s.eigenmode_data(kt, 1e-4)
         T = min(5.0, 4.0 / lam)
         nst = int(round(T / 1e-3))

@@ -9,7 +9,6 @@ import numpy as np
 
 from slabflow import densities as dn
 from slabflow import simulate as sim
-from slabflow import stability as st
 from slabflow.fourier import TorusGrid
 from slabflow.geometry import FlattenedDomain
 
@@ -17,11 +16,8 @@ from slabflow.geometry import FlattenedDomain
 def main():
     dom = FlattenedDomain(b=1.0, horizontal=TorusGrid(2, 32), M_v=24)
     s = sim.Simulator(dn.area(1.0), 1.0, dom)
-    modes = {}
-    for kt, idx, w in [((1, 0), 0, 1.0), ((1, 1), 0, 0.7), ((2, 0), 0, 0.4)]:
-        spec = st.solve_spectrum(s.op(kt))
-        v = spec.eigenvectors[:, idx].copy()
-        modes[kt] = modes.get(kt, 0) + 1e-3 * w * v / np.max(np.abs(v))
+    modes = {kt: s.eigenmode_data(kt, 1e-3 * w).modes[kt]
+             for kt, w in [((1, 0), 1.0), ((1, 1), 0.7), ((2, 0), 0.4)]}
     state = sim.FlattenedState(dom, modes, 0.0)
 
     print(f"{'dt':>8s} {'max|r|/max D':>14s} {'order':>7s}")

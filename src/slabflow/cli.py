@@ -37,6 +37,7 @@ def _fmt(value: float) -> str:
 
 
 def _write(path: str, text: str):
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -413,7 +414,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
-        os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

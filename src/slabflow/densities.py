@@ -262,9 +262,7 @@ class IsotropicMatrix(_Matrix):
 def _as_jet_arrays(p, M):
     p = np.asarray(p, dtype=float)
     M = np.asarray(M, dtype=float)
-    if p.ndim == 0:
-        p = p[None]
-    if p.shape[-1] != M.shape[-1] or M.shape[-2] != M.shape[-1]:
+    if p.ndim == 0 or p.shape[-1] != M.shape[-1] or M.shape[-2] != M.shape[-1]:
         raise ValueError("incompatible jet shapes")
     return p, M
 
@@ -413,7 +411,6 @@ class NormalizedDensity(EnergyDensity):
     def __init__(self, base: EnergyDensity, n: int):
         self.base = base
         self.name = f"normalized({getattr(base, 'name', 'density')})"
-        self._n = n
         p0 = np.zeros((1, n))
         M0 = np.zeros((1, n, n))
         self._f0 = np.asarray(base.value(p0, M0))[0]

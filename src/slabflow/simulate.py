@@ -176,7 +176,7 @@ class EnergyTrace:
     def ed_relative_residual(self) -> float:
         """max |r_n| normalized by the largest midpoint dissipation."""
         if not self.ed_residual:
-            return 0.0
+            raise ValueError("no ED residual series: a run with record_ed=False records none")
         scale = max(self.ed_dissipation)
         if scale == 0.0:
             return float(max(abs(r) for r in self.ed_residual))

@@ -76,3 +76,43 @@ def test_odd_vertical_grid_runs(tmp_path, command):
 
     path = config_copy(tmp_path, "area_waves", resize)
     assert main(["--config", path, "--out", str(tmp_path / "out"), command]) == 0
+
+
+# The output directory appears with a command's first file: a run that exits 2 on a
+# check inside its subcommand, or that writes no file, leaves no --out behind.
+
+
+def nyquist_mode(cfg):
+    cfg["initial_data"] = {"modes": [{"k": [cfg["grid"]["N"] // 2, 0], "eta": 1e-3}]}
+
+
+def index_past_the_count(cfg):
+    cfg["initial_data"] = {"eigenmode": {"k": [1, 0], "amplitude": 1e-4, "index": 1000}}
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("figure-forces", lambda cfg: None),  # grid.n = 2
+    ("simulate", nyquist_mode),
+    ("simulate", index_past_the_count),
+], ids=["figure-forces-n2", "simulate-nyquist", "simulate-eigenmode-index"])
+def test_exit_two_inside_a_subcommand_makes_no_directory(tmp_path, capsys, command, edit):
+    out = tmp_path / "out"
+    assert main(["--config", config_copy(tmp_path, "area_waves", edit), "--out", str(out),
+                 command]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ellipticity", "geometry-check"])
+def test_a_command_that_writes_no_file_makes_no_directory(tmp_path, command):
+    out = tmp_path / "out"
+    assert main(["--config", str(CONFIGS / "area_waves.json"), "--out", str(out),
+                 command]) == 0
+    assert not out.exists()
+
+
+def test_a_nested_absent_directory_is_made_with_the_first_file(tmp_path):
+    out = tmp_path / "a" / "b"
+    assert main(["--config", str(CONFIGS / "combo_stable.json"), "--out", str(out),
+                 "dispersion"]) == 0
+    assert [p.name for p in out.iterdir()] == ["dispersion.csv"]

@@ -222,3 +222,9 @@ class TestFamilies:
             dn.anisotropic(C0=[[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(ValueError):
             dn.anisotropic(C0=[[1.0, 0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("f", [dn.area(1.0), dn.normalize_density(dn.area(1.0), 1)],
+                             ids=["area", "normalized"])
+    def test_scalar_slope_is_an_incompatible_jet(self, f):
+        with pytest.raises(ValueError, match="incompatible jet shapes"):
+            f.value(0.3, [[1.0]])

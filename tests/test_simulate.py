@@ -270,6 +270,15 @@ class TestRun:
         assert res[-1] <= 1e-3
         assert np.all(orders > 1.7)
 
+    def test_ed_relative_residual_needs_the_ed_series(self, dom):
+        """A run without the ED series has no residual to report, not an exact 0.0."""
+        s = sim.Simulator(dn.area(1.0), 1.0, dom)
+        settings = sim.SimulationSettings(dt=1e-3, horizon=2e-3, record_ed=False)
+        trace, _ = s.run(s.eigenmode_data((1, 0), 1e-3), settings)
+        assert trace.ed_residual == []
+        with pytest.raises(ValueError, match="record_ed"):
+            trace.ed_relative_residual()
+
 
 class TestMeasureDecayRate:
     def _trace(self, t, E):
