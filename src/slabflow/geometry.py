@@ -19,14 +19,14 @@ vertical axis last: scalar (*grid, Mv), vector (c, *grid, Mv), matrix
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
 
 from .densities import EnergyDensity
-from .fourier import (SpectralField, TorusGrid, axis_multipliers, coeffs_to_samples,
-                      sqrt_neg_laplacian)
+from .fourier import (SpectralField, TorusGrid, _hermitian_terms, axis_multipliers,
+                      coeffs_to_samples, derivative_multiplier, sqrt_neg_laplacian)
 from . import surface_energy as se
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "piola_residual",
     "div_theorem_residual",
     "geometric_forms",
+    "pair_forms",
     "geo_energy",
     "geo_dissipation",
     "bulk_integral",
@@ -190,14 +191,25 @@ def harmonic_extension(eta: SpectralField, dom: FlattenedDomain) -> BulkField:
 
 @dataclass(frozen=True)
 class GeometricCoefficients:
-    """Flattening map data: J, A = (grad Phi)^(-T); Phi, grad Phi and normals on demand."""
+    """Flattening map data: J and grad(chi E eta); A = (grad Phi)^(-T), Phi, grad Phi and
+    normals on demand."""
 
     dom: FlattenedDomain
     _ext: np.ndarray          # E eta, (*grid, Mv)
     J: BulkField              # scalar Jacobian
-    A: BulkField              # (n+1, n+1, *grid, Mv)
     grad_chi_ext: BulkField   # grad(chi E eta), (n+1, *grid, Mv)
     min_j: float
+
+    @cached_property
+    def A(self) -> BulkField:
+        """(grad Phi)^(-T), (n+1, n+1, *grid, Mv): the identity minus grad(chi E eta) / J
+        in column n."""
+        n = self.dom.n
+        grad = self.grad_chi_ext.values
+        A = np.zeros((n + 1,) + grad.shape)
+        A[range(n + 1), range(n + 1)] = 1.0
+        A[:, n] -= grad / self.J.values
+        return BulkField(self.dom, A)
 
     @cached_property
     def Phi(self) -> BulkField:
@@ -246,13 +258,8 @@ def geometric_coefficients(eta: SpectralField, dom: FlattenedDomain) -> Geometri
     if min_j <= MIN_J_FLOOR:
         raise DomainDegenerate(min_j)
 
-    A = np.zeros((n + 1,) + grad.shape)
-    A[range(n + 1), range(n + 1)] = 1.0
-    A[:, n] -= grad / J
-
     return GeometricCoefficients(dom=dom, _ext=ext[n + 1], J=BulkField(dom, J),
-                                 A=BulkField(dom, A), grad_chi_ext=BulkField(dom, grad),
-                                 min_j=min_j)
+                                 grad_chi_ext=BulkField(dom, grad), min_j=min_j)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +388,134 @@ def geometric_forms(gc: GeometricCoefficients, v: np.ndarray, grad_v):
         for j in range(i + 1, n + 1):
             dissipation += 2.0 * copy_sum_sq(ga(i, j) + ga(j, i))
     return 0.5 * bulk_integral(kinetic * J, dom), 0.5 * bulk_integral(dissipation * J, dom)
+
+
+@cache
+def _contraction_parts(n: int) -> np.ndarray:
+    """The A-contraction of `geometric_forms` split by the entries of A it reads.
+
+    With c = (1, A_0n, ..., A_(n-1)n, A_nn), D^A v = sum_m c_m S_m grad v for
+    constant maps S_m: S_0 keeps the horizontal rows d_i v_j (i < n) and S_{1+i}
+    puts the vertical row d_n v_j in row i, each then symmetrized.  Returned as
+    (n+2, E, n+1, n+1), S[m, e, k, j] the weight of d_k v_j in entry e of S_m grad v,
+    over the E entries i <= j of D^A v with the off-diagonal ones scaled by
+    sqrt(2), so |D^A v|^2 is the plain sum of squares over e.
+    """
+    nc = n + 1
+    # S[m, i, j, k, l]: the weight of c_m d_k v_l in (A grad v)_ij
+    S = np.zeros((n + 2, nc, nc, nc, nc))
+    for i in range(n):
+        S[0, i, :, i, :] = np.eye(nc)
+    for m in range(1, n + 2):
+        S[m, m - 1, :, n, :] = np.eye(nc)
+    upper = np.triu_indices(nc)
+    scale = np.where(upper[0] == upper[1], 1.0, np.sqrt(2.0))[:, None, None]
+    return (S + S.swapaxes(1, 2))[:, upper[0], upper[1]] * scale
+
+
+def pair_forms(gc: GeometricCoefficients, keys: np.ndarray, eta: np.ndarray, groups):
+    """`geometric_forms` of copies given per mode, as exact sums over wavevector pairs.
+
+    `keys` (P, n) holds one representative of each excited +-k pair, all off the
+    Nyquist planes, and `eta` (P,) the coefficients there of the surface behind
+    `gc`.  Each group (phi, u) holds copy factors phi (P, c) and profiles u
+    (P, n+1, M_v): copy a of the group is the real velocity field with
+    coefficient phi[p, a] u[p] at k_p and its conjugate at -k_p (real at k = 0,
+    where phi must be real).  Returns the same two sums as `geometric_forms`.
+
+    For real fields with coefficients f_p, g_q and a weight W sampled on the
+    grid, the grid mean of W f g is sum_{p,q} f_p g_q What[-(p+q) mod N] exactly,
+    What being the DFT of W's samples.  The copies of a group enter through the
+    per-pair factor F = phi phi^T over the signed wavevectors.  With c_m as in
+    `_contraction_parts`, J |D^A v|^2 = sum_{m,m'} W_mm' (S_m grad v).(S_m' grad v)
+    with W_mm' = y_m y_m' / J and y = J c = (J, -grad(chi E eta)_i, 1): row m = 0
+    (J, -grad_i and 1) is linear in eta and read from the per-mode extension
+    profiles; the other (n+1)(n+2)/2 weights take one transform per level.  The
+    terms of -k_p mirror those of k_p, so p runs over the representatives only.
+    """
+    import scipy.fft
+
+    dom = gc.dom
+    grid = dom.horizontal
+    n, N, M_v = dom.n, grid.N, dom.M_v
+    k = np.asarray(keys, dtype=int).reshape(-1, n)
+    list(_hermitian_terms(grid, dict.fromkeys(map(tuple, k), 0.0)))  # out-of-band keys raise
+    if np.any(k == N // 2):
+        raise ValueError("pair forms need wavevectors off the Nyquist planes")
+    P, nz = len(k), np.any(k, axis=1)
+
+    def signed(x):
+        """(P, ...) at the representatives -> (Q, ...) at the signed wavevectors: the
+        representatives (real at k = 0), then the negatives of the others, conjugated."""
+        x = np.where(nz.reshape((P,) + (1,) * (x.ndim - 1)), x, np.real(x))
+        return np.concatenate([x, np.conj(x[nz])])
+
+    ks = np.concatenate([k, -k[nz]])
+    Q, G = len(ks), len(groups)
+    kmod = 2.0 * np.pi * np.sqrt(np.sum(ks.astype(float) ** 2, axis=1))
+    mult = derivative_multiplier(grid)[ks % N]  # (Q, n)
+    r = -(k[:, None] + ks[None]) % N  # the slot -(k_p + k_q) of each pair, (P, Q, n)
+
+    # W_mm' = y_m y_m' / J at -(k_p + k_q), (M_v, families, P, Q).  Row m = 0 is read from
+    # a table of the profiles at the signed wavevectors, slot Q standing for k = 0 when no
+    # representative is 0 and slot Q + 1 for every other wavevector (zero there).
+    slot = np.full(grid.shape, Q + 1)
+    slot[tuple((ks % N).T)] = np.arange(Q)
+    zero = (0,) * n
+    slot[zero] = min(slot[zero], Q)
+    ext = signed(np.asarray(eta, dtype=complex))[:, None] * np.exp(kmod[:, None] * dom.x3)
+    table = np.zeros((M_v, n + 2, Q + 2), dtype=complex)
+    table[:, 0, :Q] = ((dom.chi * kmod[:, None] + 1.0 / dom.b) * ext).T
+    table[:, 1:n + 1, :Q] = -(dom.chi * mult.T[:, :, None] * ext).transpose(2, 0, 1)
+    table[:, ::n + 1, slot[zero]] += 1.0
+    upper = np.triu_indices(n + 1)
+    W = np.empty((M_v, n + 2 + len(upper[0]), P, Q), dtype=complex)
+    W[:, :n + 2] = table[:, :, slot[tuple(np.moveaxis(r, -1, 0))]]
+    # the others from one transform per level of each y_m y_m' / J (m, m' >= 1), read at
+    # the conjugate slot where the last index passes N/2
+    flip = r[..., -1] > N // 2
+    at = tuple(np.moveaxis(np.where(flip[..., None], -r % N, r), -1, 0))
+    grad_ext = gc.grad_chi_ext.values
+    a = np.concatenate([-grad_ext[:n], np.ones((1,) + grad_ext.shape[1:])]) / gc.J.values
+    for f, (m, m2) in enumerate(zip(*upper), start=n + 2):
+        w = scipy.fft.rfftn(a[m] if m2 == n else -a[m] * grad_ext[m2], axes=tuple(range(n)),
+                            norm="forward")[at]
+        W[:, f] = np.moveaxis(np.where(flip[..., None], np.conj(w), w), -1, 0)
+    family = np.zeros((n + 2, n + 2), dtype=int)
+    family[0] = family[:, 0] = range(n + 2)
+    family[1 + upper[0], 1 + upper[1]] = family[1 + upper[1], 1 + upper[0]] = \
+        n + 2 + np.arange(len(upper[0]))
+    pairs = (family[:, None, :, None] * P + np.arange(P)[:, None, None]) * Q + np.arange(Q)
+    W = np.take(W.reshape(M_v, -1), pairs, axis=1)  # (M_v, m, P, m', Q)
+    W *= dom.w3[:, None, None, None, None] * np.where(nz, 2.0, 1.0)[:, None, None]
+
+    # per group: the velocities u (groups, M_v, Q, n+1), their gradients (groups, M_v, Q,
+    # k, j), the parts S_m grad (groups, M_v, m, Q, E) and the pair products times the
+    # pair factor F = phi phi^T, (groups, M_v, P, Q) for u and (groups, M_v, m, P, m', Q)
+    # for the parts, conjugated so that Re sum W B is a real dot product
+    F = np.conj([np.einsum("pa,qa->pq", f[:P], f)
+                 for f in (signed(np.asarray(f, dtype=complex)) for f, _ in groups)])
+    u = np.stack([np.moveaxis(signed(np.asarray(v, dtype=complex)), -1, 0) for _, v in groups])
+    grad = np.concatenate([mult[:, :, None] * u[:, :, :, None],
+                           (dom.D3 @ u.reshape(G, M_v, -1)).reshape(u.shape)[:, :, :, None]],
+                          axis=3)
+    parts = _contraction_parts(n)
+    E = parts.shape[1]
+    H = grad.reshape(G, M_v, Q, (n + 1) ** 2) @ parts.reshape(-1, (n + 1) ** 2).T
+    H = np.conj(H.reshape(G, M_v, Q, n + 2, E).transpose(0, 1, 3, 2, 4))
+    B = (H[:, :, :, :P].reshape(G, M_v, (n + 2) * P, E)
+         @ H.reshape(G, M_v, (n + 2) * Q, E).swapaxes(-1, -2)).reshape((G,) + W.shape)
+    B *= F[:, None, None, :, None]
+    u = np.conj(u)
+    K = u[:, :, :P] @ u.swapaxes(-1, -2)
+    K *= F[:, None]
+
+    def real_dot(x, y):
+        return float(np.einsum("i,i->", x.view(float).ravel(), y.view(float).ravel()))
+
+    kinetic = sum(real_dot(W[:, 0, :, 0].copy(), Kg) for Kg in K)
+    dissipation = sum(real_dot(W, Bg) for Bg in B)
+    return 0.5 * kinetic, 0.5 * dissipation
 
 
 def geo_energy(u: BulkField, eta: SpectralField, f: EnergyDensity, g: float) -> float:

@@ -35,7 +35,8 @@ import numpy as np
 from . import geometry as geo
 from . import surface_energy as se
 from .densities import EnergyDensity
-from .fourier import SpectralField, derivative_multiplier, hermitian_scatter, mode_samples
+from .fourier import (PAIR_FRACTION, SpectralField, derivative_multiplier, hermitian_scatter,
+                      mode_samples)
 from .geometry import BulkField, FlattenedDomain
 # perfbench/tracing.py wraps assemble_mode and solve_spectrum on this module.
 from .stability import (ModeLayout, ModeOperator, NumericError, _scipy_linalg, assemble_mode,
@@ -255,10 +256,30 @@ class _ModeSet:
     propagators: dict = field(default_factory=dict)  # (dt, scheme) -> Simulator._propagator
 
 
+def _keep_freed_heap():
+    """Fix glibc's mmap and trim thresholds at 32 and 64 MiB for the process.
+
+    A record allocates and frees the same few MB of grid arrays every time.  By
+    default glibc serves a block from the heap only below the largest mmap-served
+    block freed so far, and gives the heap top back once its free part passes
+    twice that, so unless one array dominates a record every record faults its
+    pages in afresh.  Without glibc's `mallopt` nothing changes.
+    """
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 class Simulator:
     """Owner of one physical configuration (density, gravity, domain)."""
 
     def __init__(self, density: EnergyDensity, g: float, dom: FlattenedDomain):
+        _keep_freed_heap()
         self.density = density
         self.g = float(g)
         self.dom = dom
@@ -597,12 +618,17 @@ class Simulator:
         """E_geo and D_geo: J-weighted, A-symmetrized, full surface energy.
 
         Each derivative copy carries the square root of its multiplicity,
-        so every sum over copies is plain.  The copies and their horizontal
-        gradients are summed directly over the excited modes
-        (`fourier.mode_samples`), the vertical derivative taken on the
-        per-mode profiles first.  One jet of the stacked surface copies, copy 0
-        being eta, gives W(eta) and, from one Hessian evaluation of the density
-        along the jet of eta, Q_eta of the other copies.
+        so every sum over copies is plain.  A state with few wavevectors,
+        none on a Nyquist plane ((2P)^2 <= PAIR_FRACTION N^n for P
+        representatives), takes the bulk forms as exact sums over wavevector
+        pairs (`geometry.pair_forms`), the copies entering through their
+        factors; any other state synthesizes the copies and their gradients
+        on the grid, summed directly over the excited modes
+        (`fourier.mode_samples`, the vertical derivative taken on the per-mode
+        profiles first), for `geometry.geometric_forms`.  One jet of the
+        stacked surface copies, copy 0 being eta, gives W(eta) and, from one
+        Hessian evaluation of the density along the jet of eta, Q_eta of the
+        other copies.
         """
         dom = self.dom
         n, M_v = dom.n, dom.M_v
@@ -610,27 +636,31 @@ class Simulator:
         alphas = self._alpha_set()
         na = len(alphas)
 
-        # content of all copies per mode, (modes, na, nc, M_v) and (modes, na)
+        # content of all copies per mode: factors (modes, na) on the profiles of u or d_t u
         keys = state.keys
         c, u, du, _, eta_h, deta = self._profiles(state)
         factors = np.stack([np.sqrt(w) * np.prod((1j * c.kappa) ** np.asarray(ah, dtype=float),
                                                  axis=1) for _, ah, w in alphas], axis=1)
         timed = np.array([at == 1 for at, _, _ in alphas])
-        vel = factors[:, :, None, None] * np.where(timed[:, None, None], du[:, None], u[:, None])
         surf = factors * np.where(timed, deta[:, None], eta_h[:, None])
-
-        # fields[0] holds the copies, fields[1 + i] their d_i: (2+n, na, nc, *grid, M_v).
-        # One synthesis keeps the record's temporaries under twice this largest array,
-        # the level above which glibc hands the freed heap top back after every record.
-        ki = np.array(keys, dtype=int).reshape(len(keys), n) % grid.N
-        mult = np.concatenate([np.ones((len(keys), 1)), derivative_multiplier(grid)[ki]], axis=1)
-        amps = np.concatenate([mult[:, :, None, None, None] * vel[:, None],
-                               (vel @ dom.D3.T)[:, None]], axis=1)
-        fields = mode_samples(grid, dict(zip(keys, amps)), amps.shape[1:-1], (M_v,))
         zhat = hermitian_scatter(grid, dict(zip(keys, surf)), (na,))
         copies = [SpectralField(grid, zhat[..., a]) for a in range(na)]  # copies[0] is eta
-        E, Dd = geo.geometric_forms(geo.geometric_coefficients(copies[0], dom),
-                                    fields[0], fields[1:])
+        gc = geo.geometric_coefficients(copies[0], dom)
+
+        k = np.array(keys, dtype=int).reshape(len(keys), n)
+        if np.all(np.abs(k) < grid.N // 2) and (2 * len(keys)) ** 2 <= PAIR_FRACTION * grid.npoints:
+            E, Dd = geo.pair_forms(gc, k, eta_h,
+                                   [(factors[:, ~timed], u), (factors[:, timed], du)])
+        else:
+            # fields[0] holds the copies, fields[1 + i] their d_i: (2+n, na, nc, *grid, M_v)
+            vel = factors[:, :, None, None] * np.where(timed[:, None, None], du[:, None],
+                                                       u[:, None])
+            mult = np.concatenate([np.ones((len(keys), 1)),
+                                   derivative_multiplier(grid)[k % grid.N]], axis=1)
+            amps = np.concatenate([mult[:, :, None, None, None] * vel[:, None],
+                                   (vel @ dom.D3.T)[:, None]], axis=1)
+            fields = mode_samples(grid, dict(zip(keys, amps)), amps.shape[1:-1], (M_v,))
+            E, Dd = geo.geometric_forms(gc, fields[0], fields[1:])
 
         # surface energies from one jet of all copies, one transform per derivative:
         # W(eta) for copy 0 and Q_eta for the rest; int zeta^2 by Parseval
