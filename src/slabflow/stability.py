@@ -303,10 +303,28 @@ def mode_sweep(density: EnergyDensity, g: float, b: float, kmax: int, M_v: int,
     Returns the wavevectors and, in the same order, their eigenvalues sorted
     by ascending real part.  Eigenvectors are dropped as each mode finishes,
     so a sweep holds only eigenvalues in memory.
+
+    One eigensolve serves each mirror class (|k_1| .. |k_n|, sigma(k)), sigma
+    keyed by its exact float: L(a, -b) = S L(a, b) S entry for entry, S
+    negating the u_2 block, since kappa enters L only as +-2 pi k_j and through
+    sign-blind squares.  At M_v = 24 zggev returns the same eigenvalues for
+    both up to the sign of a zero (tests/test_mirror_sweep.py); at some other
+    M_v a pair's Im signs differ, a choice roundoff makes either way (ROADMAP
+    item 11(a)).  Swapped members are not shared: their sigma and |kappa|^2 can
+    round apart and their Im lambda_2 signs differ (items 11(a), (c)).  Rows of
+    one class share one read-only array.
     """
     modes = [(0,) * n] + conjugacy_representatives(kmax, n)
-    ops = (assemble_mode(kt, b, mode_sigma(density, g, kt, n), M_v) for kt in modes)
-    return modes, [solve_spectrum(op).eigenvalues for op in ops]
+    classes, eigs = {}, []
+    for kt in modes:
+        sigma = mode_sigma(density, g, kt, n)
+        key = (tuple(map(abs, kt)), sigma.hex())  # hex keeps -0.0 apart from 0.0
+        if key not in classes:
+            w = solve_spectrum(assemble_mode(kt, b, sigma, M_v)).eigenvalues
+            w.flags.writeable = False
+            classes[key] = w
+        eigs.append(classes[key])
+    return modes, eigs
 
 
 def global_decay_rate(density: EnergyDensity, g: float, b: float, kmax: int, M_v: int,

@@ -92,3 +92,16 @@ def test_eigenmode_seeds_solve_once_per_class(tracing):
         assert tracer.sample_counts("stability.assemble_mode") == 16
     finally:
         tracer.uninstall()
+
+
+def test_mode_sweep_solves_once_per_mirror_class(tracing):
+    # kmax 2 has 13 rows; (a, b) and (a, -b) share a solve when their sigma floats
+    # agree, as an isotropic density's do, so 9 mirror classes remain
+    tracer = tracing.Tracer((RuntimeError, ValueError))
+    try:
+        tracing.wrap_slabflow(tracer)
+        modes, _ = st.mode_sweep(dn.area(1.0), 1.0, 1.0, 2, 8)
+        assert len(modes) == 13
+        assert tracer.sample_counts("stability.solve_spectrum") == 9
+    finally:
+        tracer.uninstall()
