@@ -125,13 +125,13 @@ def truncate_coeffs(coeffs: np.ndarray, src: TorusGrid, dst: TorusGrid) -> np.nd
 # the sums still win at 40 (numpy 2.4.6, default BLAS threads, 2-vCPU shared host).
 SPARSE_MODES = 40
 
-# Crossover of the bulk-form decision in `simulate.Simulator._geometric_pair`: a record with P
-# representatives, none on a Nyquist plane, sums its bulk forms over wavevector pairs
-# (`geometry.pair_forms`) when (2P)^2 <= PAIR_FRACTION N^n and synthesizes its copies on the
-# grid (`geometry.geometric_forms`) otherwise.  Measured on random subsets of the 40
+# Crossover of the bulk-form decision in `simulate.Simulator._geometric_pair`: a record at
+# n = 2 with P representatives, none on a Nyquist plane, sums its bulk forms over wavevector
+# pairs (`geometry.pair_forms`) when (2P)^2 <= PAIR_FRACTION N^2 and synthesizes its copies on
+# the grid (`geometry.geometric_forms`) otherwise.  Measured on random subsets of the 40
 # representatives with |k|_inf <= 4 (n = 2, N = 32, M_v = 24) the two meet near
-# (2P)^2 = 1.3 N^2, at P = 18-19; at n = 1 the grid is the faster path at every size, by
-# less than a millisecond (numpy 2.4.6, scipy 1.17.1, 2-vCPU shared host).
+# (2P)^2 = 1.3 N^2, at P = 18-19.  Every n = 1 record takes the grid, the faster path there
+# at every size (numpy 2.4.6, scipy 1.17.1, 2-vCPU shared host).
 PAIR_FRACTION = 1.0
 
 

@@ -399,7 +399,7 @@ class Simulator:
             rhs[0] = 2.0 * (D @ u3)[0] + self.sigma(kt) * x[lay.eta]
             A[-1, :] = D[-1, :]
             rhs[-1] = (D2 @ u3)[-1] - k2 * u3[-1]
-            p = np.linalg.solve(A, rhs)
+            p = _scipy_linalg().solve(A, rhs)
             resid = np.max(np.abs(A @ p - rhs))
             if resid > 1e-10 * max(1.0, np.max(np.abs(rhs))):
                 raise NumericError(f"pressure solve residual {resid:.2e} at k={kt}")
@@ -413,6 +413,8 @@ class Simulator:
         S A1^-1 A2 S^-1, factored from the real S A1 S^-1 and S A2 S^-1."""
         c = self._mode_set(keys)
         if (dt, scheme) not in c.propagators:
+            if dt <= 0:
+                raise ValueError("dt must be positive")
             linalg = _scipy_linalg()
             theta = 0.5 if scheme == "crank-nicolson" else 1.0
             s = self._phase
@@ -618,12 +620,12 @@ class Simulator:
         """E_geo and D_geo: J-weighted, A-symmetrized, full surface energy.
 
         Each derivative copy carries the square root of its multiplicity,
-        so every sum over copies is plain.  A state with few wavevectors,
-        none on a Nyquist plane ((2P)^2 <= PAIR_FRACTION N^n for P
-        representatives), takes the bulk forms as exact sums over wavevector
+        so every sum over copies is plain.  A state at n = 2 with few
+        wavevectors, none on a Nyquist plane ((2P)^2 <= PAIR_FRACTION N^2 for
+        P representatives), takes the bulk forms as exact sums over wavevector
         pairs (`geometry.pair_forms`), the copies entering through their
-        factors; any other state synthesizes the copies and their gradients
-        on the grid, summed directly over the excited modes
+        factors; any other state, every one at n = 1, synthesizes the copies
+        and their gradients on the grid, summed directly over the excited modes
         (`fourier.mode_samples`, the vertical derivative taken on the per-mode
         profiles first), for `geometry.geometric_forms`.  One jet of the
         stacked surface copies, copy 0 being eta, gives W(eta) and, from one
@@ -648,7 +650,8 @@ class Simulator:
         gc = geo.geometric_coefficients(copies[0], dom)
 
         k = np.array(keys, dtype=int).reshape(len(keys), n)
-        if np.all(np.abs(k) < grid.N // 2) and (2 * len(keys)) ** 2 <= PAIR_FRACTION * grid.npoints:
+        if (n == 2 and np.all(np.abs(k) < grid.N // 2)
+                and (2 * len(keys)) ** 2 <= PAIR_FRACTION * grid.npoints):
             E, Dd = geo.pair_forms(gc, k, eta_h,
                                    [(factors[:, ~timed], u), (factors[:, timed], du)])
         else:

@@ -20,8 +20,10 @@ mean flow relaxes with its own no-slip/free-slip rates and carries no
 surface dynamics; its pressure, fixed only up to a constant, is gauged by
 p(bottom) = 0 in place of the dependent bottom-node divergence row.
 
-Every LAPACK call here and in `simulate` goes through `_scipy_linalg`, which runs
-scipy's OpenBLAS on the calling thread, so no result depends on its thread count.
+Every LAPACK call of the flow goes through `_scipy_linalg`, which runs scipy's OpenBLAS
+on the calling thread, so no result depends on its thread count; numpy's LAPACK is left
+only in the post-run `lstsq` of `simulate.measure_decay_rate` and in the `np.linalg.cond`
+of `solve_spectrum`'s failure message.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "NumericError",
     "assemble_mode",
     "solve_spectrum",
-    "resolvent_solve",
     "time_derivative_trace",
     "mode_sigma",
     "mode_sweep",
@@ -239,13 +240,6 @@ def _scipy_linalg():
     return scipy.linalg
 
 
-def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x by zgemm of scipy's bundled OpenBLAS, the one-thread copy `scipy.linalg`
-    runs on; numpy bundles another copy whose pool stays at its default size, and
-    alternating the two pools lets each one's spinning workers starve the other's."""
-    return _scipy_linalg().blas.zgemm(1.0, a, x.reshape(x.shape[0], -1)).reshape(x.shape)
-
-
 def solve_spectrum(op: ModeOperator) -> Spectrum:
     """Dense generalized eigensolve with residual-based spurious-mode filter."""
     linalg = _scipy_linalg()
@@ -254,9 +248,11 @@ def solve_spectrum(op: ModeOperator) -> Spectrum:
     except Exception as exc:  # pragma: no cover - scipy failure paths
         raise NumericError(f"eigensolver failed at k={op.k}: {exc}") from exc
     # residual ||L v - w B v|| / ||v|| of every finite eigenpair with a nonzero vector;
-    # B is diagonal with 0/1 entries, so B V is an exact row scale
+    # B is diagonal with 0/1 entries, so B V is an exact row scale.  L V runs on scipy's
+    # one-thread OpenBLAS: alternating it with numpy's copy, whose pool keeps its default
+    # size, lets each pool's spinning workers starve the other's.
     finite = np.isfinite(w)
-    R = _matmul(op.L, V) - op.B.diagonal()[:, None] * V * np.where(finite, w, 0.0)
+    R = linalg.blas.zgemm(1.0, op.L, V) - op.B.diagonal()[:, None] * V * np.where(finite, w, 0.0)
     nv = np.linalg.norm(V, axis=0)
     res = np.linalg.norm(R, axis=0) / np.where(nv > 0.0, nv, 1.0)
     keep = np.flatnonzero(finite & (nv > 0.0) & (res <= RESIDUAL_FILTER))
@@ -267,28 +263,6 @@ def solve_spectrum(op: ModeOperator) -> Spectrum:
         )
     keep = keep[np.argsort(w[keep].real, kind="stable")]
     return Spectrum(eigenvalues=w[keep], eigenvectors=V[:, keep], residuals=res[keep])
-
-
-def resolvent_solve(op: ModeOperator, dt: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (B/dt + L) x = (B rhs)/dt, the backward-Euler update from state rhs.
-
-    Constraint rows carry no mass, so the solution satisfies them exactly;
-    for an eigenvector rhs the solution is rhs / (1 + lambda dt).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    A = op.B / dt + op.L
-    b = (op.B.diagonal() * rhs.T).T / dt
-    linalg = _scipy_linalg()
-    try:
-        x = linalg.solve(A, b)
-    except linalg.LinAlgError as exc:
-        raise NumericError(f"resolvent solve failed at k={op.k}: {exc}") from exc
-    scale = np.linalg.norm(b)
-    resid = np.linalg.norm(_matmul(A, x) - b)
-    if scale > 0 and resid > 1e-10 * max(scale, np.linalg.norm(x) / dt):
-        raise NumericError(f"resolvent residual {resid:.2e} too large at k={op.k}")
-    return x
 
 
 def mode_sigma(density: EnergyDensity, g: float, k, n: int) -> float:

@@ -122,7 +122,9 @@ def dense_state(n, kmax=6):
 
 def edge_state(n):
     """Mean flow, a generic mode and a mode one inside the Nyquist plane (|k_1| = N/2 - 1):
-    three representatives, which take the pair path (at n = 1 on a grid of 64 points)."""
+    three representatives, which take the pair path at n = 2.  At n = 1, on a grid of 64
+    points, they are within the pair path's size bound, yet every n = 1 record takes the
+    grid."""
     Nn = N if n == 2 else 64
     dom = FlattenedDomain(b=1.0, horizontal=TorusGrid(n, Nn), M_v=M_V)
     s = sim.Simulator(dn.combo(-1.0, 0.042), -1.0, dom)
@@ -222,7 +224,7 @@ ROUTES = {
     "crossover": (lambda: crossover_state(0), "pair_forms"),
     "past-crossover": (lambda: crossover_state(1), "geometric_forms"),
     "dense": (lambda: dense_state(2), "geometric_forms"),
-    "pairs-1": (lambda: edge_state(1), "pair_forms"),
+    "pairs-1": (lambda: edge_state(1), "geometric_forms"),
     "pairs-2": (lambda: edge_state(2), "pair_forms"),
     "trajectory": (trajectory_shape, "pair_forms"),
 }

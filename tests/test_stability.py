@@ -1,4 +1,4 @@
-"""Per-wavevector eigenproblems: assembly, spectra, resolvent, decay rates."""
+"""Per-wavevector eigenproblems: assembly, spectra, the backward-Euler resolvent, decay rates."""
 
 from itertools import product
 
@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from slabflow import densities as dn
+from slabflow import simulate as sim
 from slabflow import stability as st
+from slabflow.cli import _validation_suite
+from slabflow.fourier import TorusGrid
+from slabflow.geometry import FlattenedDomain
 from slabflow.surface_energy import EllipticityResult, ellipticity_check, hessian_symbol
 
 BETA_STAR = (4 * np.pi**2 + 1) / (16 * np.pi**4)
@@ -104,17 +108,30 @@ class TestSpectrum:
             assert np.min(np.abs(b - lam)) < 1e-6 * max(1.0, abs(lam))
 
 
+def simulator(density, g):
+    """The depth and vertical resolution of `op_for`: b = 1, M_v = 24."""
+    return sim.Simulator(density, g, FlattenedDomain(b=1.0, horizontal=TorusGrid(2, 8), M_v=24))
+
+
+def backward_euler(s, k, dt, x):
+    """One backward-Euler step of the simulator's propagator from the mode vector x at k:
+    (B/dt + L) y = B x / dt."""
+    return s.step(sim.FlattenedState(s.dom, {k: x}), dt, "backward-euler").X[0]
+
+
 class TestResolvent:
+    """A backward-Euler step of `Simulator.step` is the resolvent of the mode pencil."""
+
     def test_zero_rhs(self):
-        op = op_for(dn.willmore(), 0.0, (1, 0))
-        x = st.resolvent_solve(op, 1e-2, np.zeros(op.dim, dtype=complex))
+        s = simulator(dn.willmore(), 0.0)
+        x = backward_euler(s, (1, 0), 1e-2, np.zeros(s.layout.dim, dtype=complex))
         assert np.max(np.abs(x)) == 0.0
 
     def test_eigenvector_identity(self):
-        op = op_for(dn.willmore(), 0.0, (1, 0))
-        spec = st.solve_spectrum(op)
+        s = simulator(dn.willmore(), 0.0)
+        spec = st.solve_spectrum(s.op((1, 0)))
         lam, v = spec.eigenvalues[0], spec.eigenvectors[:, 0]
-        x = st.resolvent_solve(op, 5e-3, v)
+        x = backward_euler(s, (1, 0), 5e-3, v)
         assert np.linalg.norm(x - v / (1 + lam * 5e-3)) <= 1e-9 * np.linalg.norm(v)
 
     def test_manufactured_polynomial_solution(self):
@@ -122,8 +139,9 @@ class TestResolvent:
         # backward-Euler image
         b, Mv = 1.0, 24
         kt = (1, 0)
-        sigma = hessian_symbol(dn.area(1.0), 1.0, kt)
-        op = st.assemble_mode(kt, b, sigma, Mv)
+        s = simulator(dn.area(1.0), 1.0)
+        sigma = s.sigma(kt)
+        op = s.op(kt)
         x3, D = op.x3, op.D
         kappa = 2 * np.pi * np.array([1.0, 0.0])
         k2 = float(kappa @ kappa)
@@ -141,18 +159,57 @@ class TestResolvent:
         assert np.max(np.abs((op.L @ x)[algebraic])) < 1e-9
         dt = 1e-2
         rhs_image = (op.B / dt + op.L) @ x
-        # feed the forward image through the resolvent path: B rhs / dt = image
+        # feed the forward image through the stepper: B rhs / dt = image
         # requires rhs with B rhs = dt * image on dynamic rows
         rhs = np.zeros_like(x)
         dynamic = np.where(np.abs(op.B).sum(axis=1) > 0)[0]
         rhs[dynamic] = dt * rhs_image[dynamic]
-        recovered = st.resolvent_solve(op, dt, rhs)
+        recovered = backward_euler(s, kt, dt, rhs)
         assert np.max(np.abs(recovered - x)) <= 1e-9 * np.max(np.abs(x))
 
     def test_invalid_dt(self):
-        op = op_for(dn.willmore(), 0.0, (1, 0))
+        s = simulator(dn.willmore(), 0.0)
         with pytest.raises(ValueError):
-            st.resolvent_solve(op, 0.0, np.zeros(op.dim, dtype=complex))
+            backward_euler(s, (1, 0), 0.0, np.zeros(s.layout.dim, dtype=complex))
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_nonpositive_dt_caches_no_propagator(self, dt):
+        s = simulator(dn.willmore(), 0.0)
+        state = sim.FlattenedState(s.dom, {(1, 0): np.zeros(s.layout.dim, dtype=complex)})
+        s.step(state, 1e-2, "backward-euler")
+        for scheme in ("backward-euler", "crank-nicolson"):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                s.step(state, dt, scheme)
+        assert list(s._mode_set(state.keys).propagators) == [(1e-2, "backward-euler")]
+
+    def test_validate_row_is_one_backward_euler_step(self, monkeypatch):
+        calls = []
+        step = sim.Simulator.step
+
+        def spy(self, state, dt, scheme="crank-nicolson"):
+            calls.append((state.keys, dt, scheme))
+            return step(self, state, dt, scheme)
+
+        def suite():
+            calls.clear()
+            rows = {name: (value, tol) for name, value, tol in _validation_suite(0)}
+            return rows, [c for c in calls if c[2] == "backward-euler"]
+
+        monkeypatch.setattr(sim.Simulator, "step", spy)
+        rows, implicit = suite()
+        assert implicit == [(((1, 0),), 1e-2, "backward-euler")]
+        assert rows["resolvent_eigen_identity"][1] == 1e-8
+        assert rows["resolvent_eigen_identity"][0] <= 1e-8
+        # the row reads that step's output: zeroing it moves the row to 1 / (1 + lambda dt)
+
+        def zero(self, state, dt, scheme="crank-nicolson"):
+            out = spy(self, state, dt, scheme)
+            return out._like(0 * out.X, out.t) if scheme == "backward-euler" else out
+
+        monkeypatch.setattr(sim.Simulator, "step", zero)
+        rows, implicit = suite()
+        assert len(implicit) == 1
+        assert rows["resolvent_eigen_identity"][0] > 0.5
 
 
 class TestGlobalDecayRate:
