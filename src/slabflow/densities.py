@@ -21,6 +21,14 @@ Derivative tensor layout (leading grid axes elided):
 
 fpM[k,i,j] means d^2 f / dp_k dM_ij, and similarly for the rest; equality
 of mixed partials makes any other slot order a transpose of these.
+
+Memory layout: every tensor is computed slots first, grid axes last, so that
+broadcasting runs its inner loops along the grid points.  The slots-last
+arrays above are views of that memory, and a jet handed in as such a view
+(as `surface_energy.derivative_tensors` makes them) is read without a copy;
+any other jet is copied into the slots-first layout once per call.  So the
+layout of a jet never changes a value of a `BendingDensity`: its arithmetic
+always runs on the same contiguous slots-first arrays.
 """
 
 from __future__ import annotations
@@ -41,17 +49,14 @@ __all__ = [
 
 
 def _slots_first(a, r: int):
-    """Contiguous copy of `a` with its r trailing tensor slots moved to the front.
-
-    Inside this module tensors are laid out slots first, grid axes last, so
-    that broadcasting runs its inner loops along the grid points.
-    """
-    return np.ascontiguousarray(np.moveaxis(a, range(-r, 0), range(r)))
+    """The r trailing tensor slots of `a` moved to the front (a view)."""
+    k = a.ndim - r
+    return a.transpose(tuple(range(k, a.ndim)) + tuple(range(k)))
 
 
 def _slots_last(a, r: int):
     """The public layout of a slots-first tensor with r slots (a view)."""
-    return np.moveaxis(a, range(r), range(-r, 0))
+    return a.transpose(tuple(range(r, a.ndim)) + tuple(range(r)))
 
 
 def _eye(n: int, grid_ndim: int):
@@ -324,7 +329,8 @@ class BendingDensity(EnergyDensity):
         """Slots-first jets and the chains of w, C (to order - 1), c = C : M
         (to order) and the well b (to order, or None)."""
         p, M = _as_jet_arrays(p, M)
-        p, M = _slots_first(p, 1), _slots_first(M, 2)
+        p = np.ascontiguousarray(_slots_first(p, 1))
+        M = np.ascontiguousarray(_slots_first(M, 2))
         w = Cs = cs = None
         if self.weight is not None:
             w = self.weight.chain(p, order)

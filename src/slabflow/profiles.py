@@ -72,7 +72,8 @@ def line_first_variation(win: LineWindow, f: EnergyDensity, values: np.ndarray) 
     """dW/d eta as a function on the window, adjoint form with 1/L scalings."""
     D, fine = se.derivative_tensors(samples_to_coeffs(values, win.grid), win.grid, 2)
     fp, fM = f.grad(D[1] / win.length, D[2] / win.length**2)
-    return se.adjoint_jet(se._slots(fp / win.length, fM / win.length**2), fine, win.grid).samples()
+    w = se._slots(fp / win.length, fM / win.length**2)
+    return se.adjoint_jet(np.moveaxis(w, -1, 0), fine, win.grid).samples()
 
 
 def force_columns(win: LineWindow, shape: str, alpha: float, beta: float,

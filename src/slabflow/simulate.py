@@ -39,8 +39,8 @@ from .fourier import (PAIR_FRACTION, SpectralField, derivative_multiplier, hermi
                       mode_samples)
 from .geometry import BulkField, FlattenedDomain
 # perfbench/tracing.py wraps assemble_mode and solve_spectrum on this module.
-from .stability import (ModeLayout, ModeOperator, NumericError, _scipy_linalg, assemble_mode,
-                        mode_sigma, solve_spectrum, time_derivative_trace)
+from .stability import (ModeLayout, ModeOperator, NumericError, Spectrum, _scipy_linalg,
+                        assemble_mode, mode_sigma, solve_spectrum, time_derivative_trace)
 
 __all__ = [
     "ModeSeed",
@@ -219,6 +219,15 @@ def measure_decay_rate(trace: EnergyTrace):
     return rate, r2, bool(r2 >= 0.999)
 
 
+# The implicit schemes, by the weight theta of L on the new time level.
+_THETA = {"crank-nicolson": 0.5, "backward-euler": 1.0}
+
+
+def _check_scheme(scheme: str):
+    if scheme not in _THETA:
+        raise ValueError(f"unknown scheme {scheme!r}")
+
+
 @dataclass(frozen=True)
 class SimulationSettings:
     dt: float = 1e-3
@@ -230,8 +239,7 @@ class SimulationSettings:
     def __post_init__(self):
         if self.dt <= 0 or self.horizon < self.dt or self.output_interval < 1:
             raise ValueError("invalid time settings")
-        if self.scheme not in ("crank-nicolson", "backward-euler"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        _check_scheme(self.scheme)
 
 
 @dataclass(frozen=True)
@@ -284,12 +292,12 @@ class Simulator:
         self.g = float(g)
         self.dom = dom
         self.layout = ModeLayout(dom.n, dom.M_v)
-        # The per-mode stores: the mode sets, and the kept eigenvectors of each
-        # lattice-symmetry class seeded so far (`eigenmode_data`), about 68 KB a class
+        # The per-mode stores: the mode sets, and the filtered spectrum of each
+        # lattice-symmetry class solved so far (`_class_spectrum`), about 68 KB a class
         # at M_v = 24.  `op` and `sigma` rebuild on every call, since a cached
         # operator would keep two complex dim x dim matrices per mode alive.
         self._mode_sets: dict[tuple, _ModeSet] = {}
-        self._classes: dict[tuple, np.ndarray] = {}
+        self._classes: dict[tuple, Spectrum] = {}
         # The real frame S: -i on the horizontal velocity blocks, 1 elsewhere.  Every
         # complex entry of a mode operator is an i kappa_j coupling a horizontal
         # velocity to u_3 or p, so S A S^-1 is real; S and S^-1 are exact in floats.
@@ -344,25 +352,29 @@ class Simulator:
         geo.geometric_coefficients(state.eta(), dom)  # raises DomainDegenerate if too steep
         return state
 
-    def eigenmode_data(self, k, amplitude: float, index: int = 0) -> FlattenedState:
-        """Seed the index-th slowest eigenvector of the mode operator at k.
-
-        One eigensolve serves each lattice-symmetry class: the octant member
-        kc = (max |k_j|, min |k_j|) with sigma(k).  The operator at k is Q L(kc) Q^T,
-        Q swapping and negating horizontal velocity blocks, since kappa enters only
-        as +-2 pi k_j: entry for entry, except where np.dot may round |kappa|^2 of a
-        swapped member one ulp apart, as at (1, +-3).  So the seed at k is Q times
-        the seed at kc, as accurate an eigenvector as a direct solve's.  The resolved
-        count and the pair order are those of the class solve.  Raises ValueError
-        unless 0 <= index < that count.
-        """
-        kt, _ = _canonical_mode(k, self.dom.n)
+    def _class_spectrum(self, kt: tuple) -> Spectrum:
+        """The filtered spectrum of the lattice-symmetry class of the canonical k, solved
+        once per class at its octant member kc = (max |k_j|, min |k_j|) with sigma(k)."""
         hermitian_scatter(self.dom.horizontal, {kt: 0.0})  # an out-of-band k raises here
         kc, sigma = tuple(sorted(map(abs, kt), reverse=True)), self.sigma(kt)
         if (kc, sigma) not in self._classes:
-            op = assemble_mode(kc, self.dom.b, sigma, self.dom.M_v)
-            self._classes[kc, sigma] = solve_spectrum(op).eigenvectors
-        V = self._classes[kc, sigma]
+            self._classes[kc, sigma] = solve_spectrum(assemble_mode(kc, self.dom.b, sigma,
+                                                                    self.dom.M_v))
+        return self._classes[kc, sigma]
+
+    def eigenmode_data(self, k, amplitude: float, index: int = 0) -> FlattenedState:
+        """Seed the index-th slowest eigenvector of the mode operator at k.
+
+        One eigensolve serves each lattice-symmetry class (`_class_spectrum`).  The
+        operator at k is Q L(kc) Q^T, Q swapping and negating horizontal velocity
+        blocks, since kappa enters only as +-2 pi k_j: entry for entry, except where
+        np.dot may round |kappa|^2 of a swapped member one ulp apart, as at (1, +-3).
+        So the seed at k is Q times the seed at kc, as accurate an eigenvector as a
+        direct solve's.  The resolved count and the pair order are those of the class
+        solve.  Raises ValueError unless 0 <= index < that count.
+        """
+        kt, _ = _canonical_mode(k, self.dom.n)
+        V = self._class_spectrum(kt).eigenvectors
         if not 0 <= index < V.shape[1]:
             raise ValueError(f"eigenmode index {index} out of range: "
                              f"{V.shape[1]} eigenpairs resolved at k={kt}")
@@ -376,6 +388,20 @@ class Simulator:
         if all(c == 0 for c in kt):
             v = v.real.astype(complex)
         return FlattenedState(self.dom, {kt: v}, 0.0)
+
+    def identity_defects(self, k) -> tuple[np.ndarray, np.ndarray]:
+        """The class solve's eigenvalues at k and the identity defect of each eigenpair.
+
+        An eigenpair (lambda, v) decays as exp(-lambda t), so the energy identity
+        d/dt E_eq = -D_eq reads 2 Re lambda E_eq(v) = D_eq(v); the defect is
+        |2 Re lambda E_eq(v) - D_eq(v)| / D_eq(v), with E_eq and D_eq taken by
+        `_equilibrium_pair` on the seed of each pair (`eigenmode_data`).
+        """
+        kt, _ = _canonical_mode(k, self.dom.n)
+        lam = self._class_spectrum(kt).eigenvalues
+        E, D = np.array([self._equilibrium_pair(self.eigenmode_data(kt, 1.0, i))
+                         for i in range(len(lam))]).T
+        return lam, np.abs(2.0 * lam.real * E - D) / D
 
     def init_pressure(self, state: FlattenedState) -> FlattenedState:
         """Fill the pressure blocks with the linearized compatible pressure.
@@ -411,12 +437,13 @@ class Simulator:
     def _propagator(self, keys: tuple, dt: float, scheme: str) -> np.ndarray:
         """One-step propagators of a mode set in the real frame, stacked (modes, dim, dim):
         S A1^-1 A2 S^-1, factored from the real S A1 S^-1 and S A2 S^-1."""
+        _check_scheme(scheme)
         c = self._mode_set(keys)
         if (dt, scheme) not in c.propagators:
             if dt <= 0:
                 raise ValueError("dt must be positive")
             linalg = _scipy_linalg()
-            theta = 0.5 if scheme == "crank-nicolson" else 1.0
+            theta = _THETA[scheme]
             s = self._phase
             P = np.empty((len(keys), self.layout.dim, self.layout.dim))
             for i, kt in enumerate(keys):
@@ -435,7 +462,8 @@ class Simulator:
              scheme: str = "crank-nicolson") -> FlattenedState:
         """One implicit step, as a new state: one real batched product on the real
         and imaginary parts of S X, a small dgemm per mode that OpenBLAS keeps on
-        the calling thread.  The k = 0 surface entry is carried unchanged."""
+        the calling thread.  The k = 0 surface entry is carried unchanged.  A scheme
+        other than "crank-nicolson" or "backward-euler" raises ValueError."""
         keys, X = state.stack()
         s = self._phase
         Y = (X * s).view(float).reshape(X.shape + (2,))

@@ -17,6 +17,14 @@ full contractions of the slot tensors with z.  The third variation keeps its
 block einsums: its slot tensor would hold s^3 = 216 entries per point.
 `first_variation_expanded` is the reference form of dW in derivatives of
 eta up to order four.
+
+Memory layout: the jet, the density blocks and the slot tensors all live
+slots first, grid last, the layout they are computed in.  The variations
+contract them there and hand `adjoint_jet` a slot field whose slot axis is
+first.  Slots-last arrays, the shapes the
+interfaces take and give (`derivative_tensors`, `_jet_fields`, the density
+methods, `_slot_tensor`, `_slots`, `hessian_form`), are views of that
+memory, so moving their slots back to the front is free.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from math import factorial
 
 import numpy as np
 
-from .densities import EnergyDensity
+from .densities import EnergyDensity, _slots_first, _slots_last
 from .fourier import (
     SpectralField,
     TorusGrid,
@@ -110,18 +118,20 @@ def derivative_tensors(coeffs: np.ndarray, grid: TorusGrid, max_order: int):
     `coeffs` holds the fields' coefficients on `grid`, shape grid.shape +
     batch.  Returns a dict order -> array of shape batch + fine.shape +
     (n,)*order, filled symmetrically from the distinct spectral derivatives
-    of the whole stack, synthesized in one call, and the padded grid.
+    of the whole stack, synthesized in one call, and the padded grid.  Each
+    array is a slots-last view of memory laid out batch + (n,)*order +
+    fine.shape, so a field's tensor moved back to slots first is contiguous.
     """
     fine = grid.padded()
     n = grid.n
     symbols, index = _jet_table(fine, max_order)
     base = embed_coeffs(coeffs, grid, fine)
-    batch = base.shape[n:]
-    # field index first in memory too, so that the stack of derivatives is contiguous
+    b = base.ndim - n
+    # memory is (field, derivative, point): each field's tensors are slots first
     base = np.ascontiguousarray(np.moveaxis(base, tuple(range(n)), tuple(range(-n, 0))))
-    symbols = symbols.reshape((len(symbols),) + (1,) * len(batch) + fine.shape)
+    base = np.expand_dims(base, b)
     samples = coeffs_to_samples(base * symbols, fine)
-    return {r: np.ascontiguousarray(np.moveaxis(samples[idx], range(r), range(-r, 0)))
+    return {r: np.moveaxis(np.take(samples, idx, axis=b), range(b, b + r), range(-r, 0))
             for r, idx in index.items()}, fine
 
 
@@ -146,19 +156,21 @@ def _slot_tensor(blocks) -> np.ndarray:
     `blocks` holds its blocks by number m of M-slots (fp, fM; fpp, fpM, fMM;
     ...), each with its p indices before its M index pairs.  The block with m
     M-slots is placed on every ordering of its slots; any common leading
-    shape is kept.
+    shape is kept.  The tensor is filled slots first and handed out as a
+    slots-last view.
     """
     r = len(blocks) - 1
     n = blocks[0].shape[-1]
     lead = blocks[0].shape[:blocks[0].ndim - r]
-    T = np.empty(lead + (n + n * n,) * r, dtype=np.result_type(*blocks))
+    T = np.empty((n + n * n,) * r + lead, dtype=np.result_type(*blocks))
     part = (slice(None, n), slice(n, None))
     for m, block in enumerate(blocks):
-        block = block.reshape(lead + (n,) * (r - m) + (n * n,) * m)
+        block = _slots_first(block, r + m).reshape((n,) * (r - m) + (n * n,) * m + lead)
         for kinds in set(permutations((0,) * (r - m) + (1,) * m)):
-            dest = [t - r for t in sorted(range(r), key=kinds.__getitem__)]
-            T[(...,) + tuple(part[k] for k in kinds)] = np.moveaxis(block, range(-r, 0), dest)
-    return T
+            # slot t of T reads the block slot of its rank in the slots sorted by kind
+            rank = np.argsort(np.argsort(kinds, kind="stable"))
+            T[tuple(part[k] for k in kinds)] = block.transpose(*rank, *range(r, block.ndim))
+    return _slots_last(T, r)
 
 
 def _slots(p: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -174,13 +186,14 @@ def _slot_form(blocks, z: np.ndarray) -> np.ndarray:
 
 
 def adjoint_jet(w: np.ndarray, fine: TorusGrid, coarse: TorusGrid) -> SpectralField:
-    """J*(q, N) = -div q + hess : N of the slot field w = (q, N), assembled
-    spectrally from one transform of the slots and truncated."""
+    """J*(q, N) = -div q + hess : N of the slot field w = (q, N), slot axis first,
+    shape (n + n^2,) + fine.shape, assembled spectrally from one transform of the
+    slots and truncated."""
     symbols, index = _jet_table(fine, 2)
     # -m_k on the slots q_k, then m_i m_j on the slots N_ij
     symbols = np.concatenate([-symbols[index[1]], symbols[index[2].ravel()]])
     out = np.zeros(fine.shape, dtype=complex)
-    for symbol, c in zip(symbols, samples_to_coeffs(np.moveaxis(w, -1, 0), fine)):
+    for symbol, c in zip(symbols, samples_to_coeffs(w, fine)):
         out += symbol * c
     return SpectralField(coarse, truncate_coeffs(out, fine, coarse))
 
@@ -207,7 +220,7 @@ def first_variation(f: EnergyDensity, eta: SpectralField) -> SpectralField:
     match this field to the order of the differencing alone.
     """
     (p,), (M,), fine = _jet_fields(eta)
-    w = _slots(*f.grad(p, M))
+    w = _slots_first(_slots(*f.grad(p, M)), 1)
     check_finite(f, w)
     return adjoint_jet(w, fine, eta.grid)
 
@@ -236,7 +249,8 @@ def first_variation_expanded(f: EnergyDensity, eta: SpectralField) -> SpectralFi
 def second_variation_apply(f: EnergyDensity, eta: SpectralField, phi: SpectralField) -> SpectralField:
     """(d2W(eta)) phi = J*(hess f(J eta) . J phi)."""
     (p, gp), (M, gM), fine = _jet_fields(eta, phi)
-    w = np.einsum("...ij,...j->...i", _slot_tensor(f.hess(p, M)), _slots(gp, gM))
+    z = _slots_first(_slots(gp, gM), 1)
+    w = np.einsum("ij...,j...->i...", _slots_first(_slot_tensor(f.hess(p, M)), 2), z)
     check_finite(f, w)
     return adjoint_jet(w, fine, eta.grid)
 
@@ -246,18 +260,20 @@ def third_variation_apply(
 ) -> SpectralField:
     """(d3W(eta))(phi, psi) = J*(third f(J eta) . (J phi x J psi))."""
     (p, gp, hp), (M, gM, hM), fine = _jet_fields(eta, phi, psi)
-    fppp, fppM, fpMM, fMMM = f.third(p, M)
-    q = np.einsum("...klm,...l,...m->...k", fppp, gp, hp)
-    q += np.einsum("...klij,...l,...ij->...k", fppM, gp, hM)
-    q += np.einsum("...klij,...l,...ij->...k", fppM, hp, gM)
-    q += np.einsum("...kijrs,...ij,...rs->...k", fpMM, gM, hM)
-    N = np.einsum("...lmij,...l,...m->...ij", fppM, gp, hp)
-    N += np.einsum("...mijkl,...m,...kl->...ij", fpMM, gp, hM)
-    N += np.einsum("...mijkl,...m,...kl->...ij", fpMM, hp, gM)
+    fppp, fppM, fpMM, fMMM = (_slots_first(t, r) for r, t in enumerate(f.third(p, M), 3))
+    gp, hp = _slots_first(gp, 1), _slots_first(hp, 1)
+    gM, hM = _slots_first(gM, 2), _slots_first(hM, 2)
+    q = np.einsum("klm...,l...,m...->k...", fppp, gp, hp)
+    q += np.einsum("klij...,l...,ij...->k...", fppM, gp, hM)
+    q += np.einsum("klij...,l...,ij...->k...", fppM, hp, gM)
+    q += np.einsum("kijrs...,ij...,rs...->k...", fpMM, gM, hM)
+    N = np.einsum("lmij...,l...,m...->ij...", fppM, gp, hp)
+    N += np.einsum("mijkl...,m...,kl...->ij...", fpMM, gp, hM)
+    N += np.einsum("mijkl...,m...,kl...->ij...", fpMM, hp, gM)
     if fMMM.any():
-        N += np.einsum("...ijklrs,...kl,...rs->...ij", fMMM, gM, hM)
+        N += np.einsum("ijklrs...,kl...,rs...->ij...", fMMM, gM, hM)
     check_finite(f, q, N)
-    return adjoint_jet(_slots(q, N), fine, eta.grid)
+    return adjoint_jet(np.concatenate([q, N.reshape((-1,) + q.shape[1:])]), fine, eta.grid)
 
 
 def hessian_form(hess, gp: np.ndarray, gM: np.ndarray) -> np.ndarray:
@@ -276,12 +292,12 @@ def hessian_form_total(hess, gp: np.ndarray, gM: np.ndarray) -> float:
     the jets of the copies, shape (copies, *points, ...).  The slot products
     z_I z_J are summed over the copies first, then dotted with the Hessian.
     """
-    H = _slot_tensor(hess)
-    s = H.shape[-1]
-    # slots first, (slot, copy, point), so that the sum over the copies is one einsum
-    z = np.ascontiguousarray(np.moveaxis(_slots(gp, gM).reshape(len(gp), -1, s), -1, 0))
+    z = _slots_first(_slots(gp, gM), 1)
+    z = z.reshape(z.shape[:2] + (-1,))  # (slot, copy, point)
     S = np.einsum("icx,jcx->xij", z, z)
-    return float(np.einsum("xij,xij->", H.reshape(S.shape), S)) / len(S)
+    # summed point-major over a contiguous H, the order that keeps E_geo to the bit
+    H = np.ascontiguousarray(_slot_tensor(hess)).reshape(S.shape)
+    return float(np.einsum("xij,xij->", H, S)) / len(S)
 
 
 def quad_energy(f: EnergyDensity, eta: SpectralField, zeta: SpectralField) -> float:

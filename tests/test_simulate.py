@@ -152,6 +152,18 @@ class TestStep:
         order = np.log(errs[0] / errs[1]) / np.log(2.0)
         assert abs(order - 1.0) < 0.2
 
+    def test_unknown_scheme_rejected_before_caching(self, dom):
+        # a misspelt scheme once ran backward Euler and cached its propagator
+        s = sim.Simulator(dn.area(1.0), 1.0, dom)
+        state = s.eigenmode_data((1, 0), 1e-3)
+        s.step(state, 1e-2)
+        keys, _ = state.stack()
+        cached = dict(s._mode_set(keys).propagators)
+        with pytest.raises(ValueError, match="unknown scheme 'crank-nicholson'"):
+            s.step(state, 1e-2, "crank-nicholson")
+        assert s._mode_set(keys).propagators.keys() == cached.keys()
+        assert all(s._mode_set(keys).propagators[key] is P for key, P in cached.items())
+
     def test_mass_conserved_over_thousand_steps(self, dom):
         s = sim.Simulator(dn.area(1.0), 1.0, dom)
         state = s.init_pressure(s.admissible_data(
