@@ -37,3 +37,20 @@ from .surface_energy import (
 )
 
 __version__ = "0.1.0"
+
+
+def _keep_freed_heap():
+    """Fix glibc's mmap and trim thresholds at 32 and 64 MiB for the process, so the few MB
+    that every record or surface variation frees and allocates again stay on the heap
+    instead of being faulted in afresh.  Without glibc's `mallopt` nothing changes."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()

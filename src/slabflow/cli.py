@@ -42,6 +42,15 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
+def _check_out(out: str):
+    """ConfigError unless `out` is a directory or can be made one."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {out}: {path} exists and is not a directory")
+
+
 def _csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
@@ -414,6 +423,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
+        _check_out(args.out)
         return COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -20,7 +20,8 @@ Derivative tensor layout (leading grid axes elided):
     third -> fppp[k,l,m],      fppM[k,l,i,j],     fpMM[m,i,j,k,l],   fMMM[6 slots]
 
 fpM[k,i,j] means d^2 f / dp_k dM_ij, and similarly for the rest; equality
-of mixed partials makes any other slot order a transpose of these.
+of mixed partials makes any other slot order a transpose of these.  Every
+density is at most quadratic in M: fMMM = 0 is handed out as a read-only zero view.
 
 Memory layout: every tensor is computed slots first, grid axes last, so that
 broadcasting runs its inner loops along the grid points.  The slots-last
@@ -277,6 +278,7 @@ class EnergyDensity:
 
     Subclasses must be normalized, f(0,0) = 0 and grad f(0,0) = 0; use
     `normalize_density` to strip the affine part of an arbitrary density.
+    Every density is at most quadratic in M: `third` returns fMMM as a read-only zero view.
     """
 
     name = "density"
@@ -310,10 +312,10 @@ class EnergyDensity:
 class BendingDensity(EnergyDensity):
     """f(p, M) = 1/2 w(p) (C(p):M)^2 + b(p) with exact tensor derivatives.
 
-    With h = w c, the M-derivatives are fM = h C, fMM = w C x C and
-    fMMM = 0, and the p-derivatives follow by the product rule.  Terms that
-    vanish by structure are skipped: without weight and form only the well
-    contributes, and a constant form has no p-derivatives.
+    With h = w c, the M-derivatives are fM = h C, fMM = w C x C and fMMM = 0
+    (a read-only zero view), and the p-derivatives follow by the product rule.
+    Terms that vanish by structure are skipped: without weight and form only
+    the well contributes, and a constant form has no p-derivatives.
     """
 
     def __init__(self, name, weight: _Radial | None = None, form: _Matrix | None = None,
@@ -406,9 +408,8 @@ class BendingDensity(EnergyDensity):
                 fpMM += np.swapaxes(np.swapaxes(u, 1, 3), 2, 4)
         if b is not None:
             fppp = fppp + b[3]
-        fMMM = np.zeros((n,) * 6 + grid)
         return (_slots_last(fppp, 3), _slots_last(fppM, 4), _slots_last(fpMM, 5),
-                _slots_last(fMMM, 6))
+                np.broadcast_to(0.0, grid + (n,) * 6))
 
 
 class NormalizedDensity(EnergyDensity):

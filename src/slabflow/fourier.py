@@ -189,20 +189,26 @@ def samples_to_coeffs(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.fft.fftn(values, axes=axes) / grid.npoints
 
 
+def band_wavevector(grid: TorusGrid, k) -> tuple[int, ...]:
+    """k as a tuple of ints; ValueError unless it has grid.n components, each in
+    the retained band -N/2 < k_i <= N/2 (outside it k would alias)."""
+    kt = (int(k),) if np.isscalar(k) else tuple(int(ki) for ki in k)
+    if len(kt) != grid.n:
+        raise ValueError(f"wavevector {kt} has wrong dimension")
+    if any(not (-grid.N // 2 < ki <= grid.N // 2) for ki in kt):
+        raise ValueError(f"wavevector {kt} outside retained band")
+    return kt
+
+
 def _hermitian_terms(grid: TorusGrid, modes: dict):
     """The Hermitian rule: (index, conjugate index or None, amplitude) per entry.
 
     Wavevector k goes to FFT index k mod N and its conjugate to -k mod N; a
     self-conjugate k (k = -k mod N) has no separate conjugate and keeps the
-    real part of its amplitude.  A wavevector outside the retained band
-    -N/2 < k_i <= N/2 raises ValueError instead of aliasing.
+    real part of its amplitude.
     """
     for k, a in modes.items():
-        kt = (int(k),) if np.isscalar(k) else tuple(int(ki) for ki in k)
-        if len(kt) != grid.n:
-            raise ValueError(f"wavevector {kt} has wrong dimension")
-        if any(not (-grid.N // 2 < ki <= grid.N // 2) for ki in kt):
-            raise ValueError(f"wavevector {kt} outside retained band")
+        kt = band_wavevector(grid, k)
         idx = tuple(ki % grid.N for ki in kt)
         idx_conj = tuple((-ki) % grid.N for ki in kt)
         if idx == idx_conj:
@@ -418,8 +424,7 @@ class SpectralField:
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product on a 3/2-padded grid, truncated back to the band."""
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
+    f._check_same_grid(g)
     fine = f.grid.padded()
     fv = coeffs_to_samples(embed_coeffs(f.coeffs, f.grid, fine), fine)
     gv = coeffs_to_samples(embed_coeffs(g.coeffs, g.grid, fine), fine)
@@ -436,13 +441,9 @@ def sqrt_neg_laplacian(f: SpectralField) -> SpectralField:
 
 def conjugacy_representatives(kmax: int, n: int = 2) -> list[tuple[int, ...]]:
     """Nonzero wavevectors with 0 < |k|_inf <= kmax, one per conjugate pair."""
-    reps = []
-    for idx in product(range(-kmax, kmax + 1), repeat=n):
-        if all(c == 0 for c in idx):
-            continue
-        if idx < tuple(-c for c in idx):
-            continue
-        reps.append(idx)
+    # idx > -idx lexicographically keeps one of each pair and drops k = 0
+    reps = [idx for idx in product(range(-kmax, kmax + 1), repeat=n)
+            if idx > tuple(-c for c in idx)]
     reps.sort(key=lambda kt: (sum(c * c for c in kt), kt))
     return reps
 
@@ -454,13 +455,8 @@ def random_band_limited(
     rng: np.random.Generator,
 ) -> SpectralField:
     """Random real field supported on 0 < |k|_inf <= kmax, sup-norm ~ amplitude."""
-    modes = {}
-    for k in np.ndindex(*[2 * kmax + 1] * grid.n):
-        kt = tuple(k[i] - kmax for i in range(grid.n))
-        if not any(kt):
-            continue
-        a = rng.standard_normal() + 1j * rng.standard_normal()
-        modes[kt] = a
+    modes = {k: rng.standard_normal() + 1j * rng.standard_normal()
+             for k in product(range(-kmax, kmax + 1), repeat=grid.n) if any(k)}
     f = SpectralField.from_modes(grid, modes)
     peak = np.max(np.abs(f.samples()))
     if peak == 0.0:

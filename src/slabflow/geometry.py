@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from .densities import EnergyDensity
-from .fourier import (SpectralField, TorusGrid, _hermitian_terms, axis_multipliers,
+from .fourier import (SpectralField, TorusGrid, axis_multipliers, band_wavevector,
                       coeffs_to_samples, derivative_multiplier, sqrt_neg_laplacian)
 from . import surface_energy as se
 
@@ -439,7 +439,8 @@ def pair_forms(gc: GeometricCoefficients, keys: np.ndarray, eta: np.ndarray, gro
     grid = dom.horizontal
     n, N, M_v = dom.n, grid.N, dom.M_v
     k = np.asarray(keys, dtype=int).reshape(-1, n)
-    list(_hermitian_terms(grid, dict.fromkeys(map(tuple, k), 0.0)))  # out-of-band keys raise
+    for kt in k:
+        band_wavevector(grid, kt)
     if np.any(k == N // 2):
         raise ValueError("pair forms need wavevectors off the Nyquist planes")
     P, nz = len(k), np.any(k, axis=1)

@@ -35,8 +35,8 @@ import numpy as np
 from . import geometry as geo
 from . import surface_energy as se
 from .densities import EnergyDensity
-from .fourier import (PAIR_FRACTION, SpectralField, derivative_multiplier, hermitian_scatter,
-                      mode_samples)
+from .fourier import (PAIR_FRACTION, SpectralField, band_wavevector, derivative_multiplier,
+                      hermitian_scatter, mode_samples)
 from .geometry import BulkField, FlattenedDomain
 # perfbench/tracing.py wraps assemble_mode and solve_spectrum on this module.
 from .stability import (ModeLayout, ModeOperator, NumericError, Spectrum, _scipy_linalg,
@@ -178,10 +178,7 @@ class EnergyTrace:
         """max |r_n| normalized by the largest midpoint dissipation."""
         if not self.ed_residual:
             raise ValueError("no ED residual series: a run with record_ed=False records none")
-        scale = max(self.ed_dissipation)
-        if scale == 0.0:
-            return float(max(abs(r) for r in self.ed_residual))
-        return float(max(abs(r) for r in self.ed_residual) / scale)
+        return float(max(abs(r) for r in self.ed_residual) / (max(self.ed_dissipation) or 1.0))
 
     def to_csv(self) -> str:
         """CSV with 17 significant digits, LF endings."""
@@ -264,30 +261,10 @@ class _ModeSet:
     propagators: dict = field(default_factory=dict)  # (dt, scheme) -> Simulator._propagator
 
 
-def _keep_freed_heap():
-    """Fix glibc's mmap and trim thresholds at 32 and 64 MiB for the process.
-
-    A record allocates and frees the same few MB of grid arrays every time.  By
-    default glibc serves a block from the heap only below the largest mmap-served
-    block freed so far, and gives the heap top back once its free part passes
-    twice that, so unless one array dominates a record every record faults its
-    pages in afresh.  Without glibc's `mallopt` nothing changes.
-    """
-    import ctypes
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 class Simulator:
     """Owner of one physical configuration (density, gravity, domain)."""
 
     def __init__(self, density: EnergyDensity, g: float, dom: FlattenedDomain):
-        _keep_freed_heap()
         self.density = density
         self.g = float(g)
         self.dom = dom
@@ -355,7 +332,7 @@ class Simulator:
     def _class_spectrum(self, kt: tuple) -> Spectrum:
         """The filtered spectrum of the lattice-symmetry class of the canonical k, solved
         once per class at its octant member kc = (max |k_j|, min |k_j|) with sigma(k)."""
-        hermitian_scatter(self.dom.horizontal, {kt: 0.0})  # an out-of-band k raises here
+        band_wavevector(self.dom.horizontal, kt)
         kc, sigma = tuple(sorted(map(abs, kt), reverse=True)), self.sigma(kt)
         if (kc, sigma) not in self._classes:
             self._classes[kc, sigma] = solve_spectrum(assemble_mode(kc, self.dom.b, sigma,

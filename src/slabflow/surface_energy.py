@@ -14,9 +14,9 @@ placed on every ordering of their slots.  The variations are then
 with J = (grad, hess) and J*(q, N) = -div q + hess : N taken from one
 transform of the slot field (q, N); Q_eta and the Taylor remainders are
 full contractions of the slot tensors with z.  The third variation keeps its
-block einsums: its slot tensor would hold s^3 = 216 entries per point.
-`first_variation_expanded` is the reference form of dW in derivatives of
-eta up to order four.
+block einsums: its slot tensor would hold s^3 = 216 entries per point.  fMMM,
+every density's read-only zero view, enters no variation.  The reference form
+of dW in derivatives of eta up to order four is `first_variation_expanded`.
 
 Memory layout: the jet, the density blocks and the slot tensors all live
 slots first, grid last, the layout they are computed in.  The variations
@@ -234,11 +234,9 @@ def first_variation_expanded(f: EnergyDensity, eta: SpectralField) -> SpectralFi
     D, fine = derivative_tensors(eta.coeffs, eta.grid, 4)
     p, M = D[1], D[2]
     fpp, fpM, fMM = f.hess(p, M)
-    fppp, fppM, fpMM, fMMM = f.third(p, M)
+    _, fppM, fpMM, _ = f.third(p, M)
     vals = np.einsum("...klij,...ijkl->...", fMM, D[4])
     vals -= np.einsum("...kl,...kl->...", fpp, D[2])
-    if fMMM.any():
-        vals += np.einsum("...klijrs,...ijl,...rsk->...", fMMM, D[3], D[3])
     vals += 2.0 * np.einsum("...nklij,...ijl,...nk->...", fpMM, D[3], D[2])
     vals += np.einsum("...mnkl,...nk,...ml->...", fppM, D[2], D[2])
     check_finite(f, vals)
@@ -260,7 +258,7 @@ def third_variation_apply(
 ) -> SpectralField:
     """(d3W(eta))(phi, psi) = J*(third f(J eta) . (J phi x J psi))."""
     (p, gp, hp), (M, gM, hM), fine = _jet_fields(eta, phi, psi)
-    fppp, fppM, fpMM, fMMM = (_slots_first(t, r) for r, t in enumerate(f.third(p, M), 3))
+    fppp, fppM, fpMM = (_slots_first(t, r) for r, t in enumerate(f.third(p, M)[:3], 3))
     gp, hp = _slots_first(gp, 1), _slots_first(hp, 1)
     gM, hM = _slots_first(gM, 2), _slots_first(hM, 2)
     q = np.einsum("klm...,l...,m...->k...", fppp, gp, hp)
@@ -270,8 +268,6 @@ def third_variation_apply(
     N = np.einsum("lmij...,l...,m...->ij...", fppM, gp, hp)
     N += np.einsum("mijkl...,m...,kl...->ij...", fpMM, gp, hM)
     N += np.einsum("mijkl...,m...,kl...->ij...", fpMM, hp, gM)
-    if fMMM.any():
-        N += np.einsum("ijklrs...,kl...,rs...->ij...", fMMM, gM, hM)
     check_finite(f, q, N)
     return adjoint_jet(np.concatenate([q, N.reshape((-1,) + q.shape[1:])]), fine, eta.grid)
 
