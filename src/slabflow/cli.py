@@ -37,9 +37,12 @@ def _fmt(value: float) -> str:
 
 
 def _write(path: str, text: str):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:  # e.g. an output file name taken by a directory
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror or exc}") from None
 
 
 def _check_out(out: str):
@@ -211,10 +214,7 @@ def cmd_simulate(cfg: RunConfig, out: str) -> int:
     else:
         state = simulator.admissible_data(list(cfg.modes))
         state = simulator.init_pressure(state)
-    settings = sim.SimulationSettings(dt=cfg.time.dt, horizon=cfg.time.horizon,
-                                      output_interval=cfg.time.output_interval,
-                                      scheme=cfg.time.scheme)
-    trace, final = simulator.run(state, settings)
+    trace, final = simulator.run(state, cfg.time)
     _write(os.path.join(out, "trace.csv"), trace.to_csv())
     _write(os.path.join(out, "ed.csv"), _csv(["t", "ed_residual", "D_half"], zip(
         trace.ed_t, trace.ed_residual, trace.ed_dissipation)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 from . import densities
 from .densities import EnergyDensity
-from .simulate import ModeSeed
+from .simulate import ModeSeed, SimulationSettings
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
@@ -89,14 +89,6 @@ class GridSection:
 
 
 @dataclass(frozen=True)
-class TimeSection:
-    dt: float = 1e-3
-    horizon: float = 5.0
-    output_interval: int = 10
-    scheme: str = "crank-nicolson"
-
-
-@dataclass(frozen=True)
 class FigureSection:
     profile: str = "both"
     window: float = 20.0
@@ -113,7 +105,7 @@ class RunConfig:
     gravity: float = 0.0
     depth: float = 1.0
     grid: GridSection = field(default_factory=GridSection)
-    time: TimeSection = field(default_factory=TimeSection)
+    time: SimulationSettings = field(default_factory=SimulationSettings)
     modes: tuple[ModeSeed, ...] = ()
     eigenmode: dict | None = None
     kmax: int = 4
@@ -159,15 +151,19 @@ def _parse_mode_list(raw, path: str, grid: GridSection) -> tuple[ModeSeed, ...]:
 
 
 def _parse_section(raw: dict, path: str, cls):
-    """The section `path` of raw as a `cls`: each field taken with its default and
-    converted by the type of that default, a str taken as it is."""
+    """The section `path` of raw as a `cls`, from the fields whose default is a number or
+    a str: each taken with that default, a number converted by its type.  A ValueError
+    from `cls` itself becomes a ConfigError prefixed with `path`."""
     sec = _section(raw, path, {})
     convert = {float: _as_float, int: _as_int, str: lambda v, _: v}
-    out = cls(**{f.name: convert[type(f.default)](_take(sec, path, f.name, f.default),
-                                                  f"{path}.{f.name}")
-                 for f in fields(cls)})
+    values = {f.name: convert[type(f.default)](_take(sec, path, f.name, f.default),
+                                               f"{path}.{f.name}")
+              for f in fields(cls) if type(f.default) in convert}
     _no_leftovers(sec, path)
-    return out
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -217,18 +213,12 @@ def parse_config(raw: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"density: {exc}") from None
 
-    time = _parse_section(raw, "time", TimeSection)
-    if time.dt <= 0:
-        raise ConfigError("time.dt: must be positive")
-    if time.horizon < time.dt:
-        raise ConfigError("time.horizon: must be at least time.dt")
+    time = _parse_section(raw, "time", SimulationSettings)
+    # config-only: a run takes round(horizon / dt) steps, and a config must end at the time
+    # it names; library callers may pass a horizon between steps, e.g. min(5, 4 / lambda)
     steps = time.horizon / time.dt
     if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * round(steps):
         raise ConfigError("time.horizon: must be a whole number of time.dt steps")
-    if time.output_interval < 1:
-        raise ConfigError("time.output_interval: must be >= 1")
-    if time.scheme not in ("crank-nicolson", "backward-euler"):
-        raise ConfigError("time.scheme: must be 'crank-nicolson' or 'backward-euler'")
 
     idata = _section(raw, "initial_data", {})
     modes = _parse_mode_list(_take(idata, "initial_data", "modes", None), "initial_data.modes", grid)

@@ -222,11 +222,13 @@ _THETA = {"crank-nicolson": 0.5, "backward-euler": 1.0}
 
 def _check_scheme(scheme: str):
     if scheme not in _THETA:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise ValueError(f"scheme: unknown scheme {scheme!r}; choose from {sorted(_THETA)}")
 
 
 @dataclass(frozen=True)
 class SimulationSettings:
+    """A run's time stepping, also parsed from the config's `time` section (all but record_ed)."""
+
     dt: float = 1e-3
     horizon: float = 5.0
     output_interval: int = 10
@@ -234,8 +236,12 @@ class SimulationSettings:
     record_ed: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon < self.dt or self.output_interval < 1:
-            raise ValueError("invalid time settings")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt: must be positive and finite")
+        if not self.dt <= self.horizon < np.inf:
+            raise ValueError("horizon: must be finite and at least dt")
+        if self.output_interval < 1:
+            raise ValueError("output_interval: must be >= 1")
         _check_scheme(self.scheme)
 
 

@@ -51,3 +51,17 @@ def test_regular_file_as_out(tmp_path, capsys, monkeypatch, below):
     assert code == 2
     assert err.startswith(f"config error: --out {out}: {blocker} exists and is not a directory")
     assert blocker.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("config, command, taken", [
+    ("figure_forces.json", "figure-forces", "forces_tanh.csv"),
+    ("combo_stable.json", "simulate", "trace.csv"),
+])
+def test_output_file_name_taken_by_a_directory(tmp_path, capsys, config, command, taken):
+    # once an IsADirectoryError traceback from `_write`, after the command had done its work
+    (tmp_path / taken).mkdir()
+    path = str(Path(CONFIG).parent / config)
+    code, err = run(capsys, "--config", path, "--out", str(tmp_path), command)
+    assert code == 2
+    assert err.startswith(f"config error: cannot write output file {tmp_path / taken}: ")
+    assert (tmp_path / taken).is_dir()
