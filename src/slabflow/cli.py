@@ -79,12 +79,21 @@ def _fd_check(exact: float, F, eta: SpectralField, phi: SpectralField):
     `exact` for eps = 1e-3 / 2^i, i < 7: the (eps, error) rows, the log-log slope
     of the leading errors that keep falling (each at most half the one before and
     above the roundoff floor; nan unless three do), and the relative mismatch at
-    eps = 1e-4.  Past those errors the differences measure cancellation in F."""
+    eps = 1e-4.  Past those errors the differences measure cancellation in F.
+
+    The floor is 1000 eps_mach max|F(eta +- eps phi)| / eps: the roundoff of the
+    two values of F, divided by the step, with a margin of 1000, so that no
+    fitted error depends on the last bits of F.
+    """
     fd = lambda eps: (F(eta + eps * phi) - F(eta - eps * phi)) / (2 * eps)
-    rows = [(eps, abs(fd(eps) - exact)) for eps in [1e-3 / 2**i for i in range(7)]]
+    rows, floors = [], []
+    for eps in [1e-3 / 2**i for i in range(7)]:
+        plus, minus = F(eta + eps * phi), F(eta - eps * phi)
+        rows.append((eps, abs((plus - minus) / (2 * eps) - exact)))
+        floors.append(1000.0 * np.finfo(float).eps * max(abs(plus), abs(minus)) / eps)
     eps, errs = np.array(rows).T
     good = np.logical_and.accumulate(np.r_[True, errs[1:] <= 0.5 * errs[:-1]]
-                                     & (errs > 1e-14 * max(1.0, abs(exact))))
+                                     & (errs > np.array(floors)))
     slope = float("nan")
     if good.sum() >= 3:
         slope = float(np.polyfit(np.log(eps[good]), np.log(errs[good]), 1)[0])

@@ -23,6 +23,11 @@ fpM[k,i,j] means d^2 f / dp_k dM_ij, and similarly for the rest; equality
 of mixed partials makes any other slot order a transpose of these.  Every
 density is at most quadratic in M: fMMM = 0 is handed out as a read-only zero view.
 
+    hess_apply  -> hess f . z             as (qp[k], qM[i,j])
+    third_apply -> third f . (z1 x z2)    as (qp[k], qM[i,j])
+
+apply the derivatives to jet directions z = (zp, zM) without building them.
+
 Memory layout: every tensor is computed slots first, grid axes last, so that
 broadcasting runs its inner loops along the grid points.  The slots-last
 arrays above are views of that memory, and a jet handed in as such a view
@@ -68,6 +73,20 @@ def _eye(n: int, grid_ndim: int):
 def _sym2(t):
     """t_kl + t_lk on the first two slots."""
     return t + np.swapaxes(t, 0, 1)
+
+
+def _along(t, v):
+    """t contracted with the vector v on its first slot (slots-first arrays)."""
+    out = v[0] * t[0]
+    for vk, tk in zip(v[1:], t[1:]):
+        out += vk * tk
+    return out
+
+
+def _colon(t, Z):
+    """t contracted with the matrix Z on its last two slots; t has r slots."""
+    r = t.ndim - Z.ndim + 2
+    return np.sum(t * Z, axis=(r - 2, r - 1))
 
 
 def _sym3(t):
@@ -273,6 +292,12 @@ def _as_jet_arrays(p, M):
     return p, M
 
 
+def _jet_first(p, M):
+    """A jet as contiguous slots-first arrays (views of slots-first memory stay views)."""
+    p, M = _as_jet_arrays(p, M)
+    return np.ascontiguousarray(_slots_first(p, 1)), np.ascontiguousarray(_slots_first(M, 2))
+
+
 class EnergyDensity:
     """Interface: value / grad / hess / third plus a label.
 
@@ -293,6 +318,14 @@ class EnergyDensity:
         raise NotImplementedError
 
     def third(self, p, M):
+        raise NotImplementedError
+
+    def hess_apply(self, p, M, zp, zM):
+        """(qp, qM) = hess f . z for the jet direction z = (zp, zM)."""
+        raise NotImplementedError
+
+    def third_apply(self, p, M, z1, z2):
+        """(qp, qM) = third f . (z1 x z2) for jet directions z1, z2, each (zp, zM)."""
         raise NotImplementedError
 
     # -- convenience -------------------------------------------------------
@@ -330,9 +363,7 @@ class BendingDensity(EnergyDensity):
     def _pieces(self, p, M, order: int):
         """Slots-first jets and the chains of w, C (to order - 1), c = C : M
         (to order) and the well b (to order, or None)."""
-        p, M = _as_jet_arrays(p, M)
-        p = np.ascontiguousarray(_slots_first(p, 1))
-        M = np.ascontiguousarray(_slots_first(M, 2))
+        p, M = _jet_first(p, M)
         w = Cs = cs = None
         if self.weight is not None:
             w = self.weight.chain(p, order)
@@ -411,6 +442,68 @@ class BendingDensity(EnergyDensity):
         return (_slots_last(fppp, 3), _slots_last(fppM, 4), _slots_last(fpMM, 5),
                 np.broadcast_to(0.0, grid + (n,) * 6))
 
+    # The actions differentiate the gradient fp = 1/2 c^2 w1 + h c1 + b1, fM = h C
+    # (h = w c) along the directions, each factor contracted with them first: for
+    # a direction z = (zp, zM), D w = w1.zp, D c = c1.zp + C : zM, D C = C1.zp and
+    # D c1 = c2.zp + C1 : zM, and the well's D b1 = b2.zp.
+
+    def hess_apply(self, p, M, zp, zM):
+        p, M, w, Cs, cs, b = self._pieces(p, M, 2)
+        zp, zM = _jet_first(zp, zM)
+        if w is None:
+            qp, qM = np.zeros(p.shape), np.zeros(M.shape)
+        else:
+            (w, w1, w2), (C, C1), (c, c1, c2) = w, Cs, cs
+            dc = _colon(C, zM)
+            if c1 is not None:
+                dc += _along(c1, zp)
+            h = w * c
+            dh = _along(w1, zp) * c + w * dc
+            qp = (c * dc) * w1 + (0.5 * c**2) * _along(w2, zp)
+            qM = dh * C
+            if c1 is not None:
+                qp += dh * c1 + h * (_along(c2, zp) + _colon(C1, zM))
+                qM += h * _along(C1, zp)
+        if b is not None:
+            qp = qp + _along(b[2], zp)
+        return _slots_last(qp, 1), _slots_last(qM, 2)
+
+    def third_apply(self, p, M, z1, z2):
+        p, M, w, Cs, cs, b = self._pieces(p, M, 3)
+        (g, G), (k, K) = _jet_first(*z1), _jet_first(*z2)
+        if w is None:
+            qp, qM = np.zeros(p.shape), np.zeros(M.shape)
+        else:
+            (w, w1, w2, w3), (C, C1, C2), (c, c1, c2, c3) = w, Cs, cs
+            # first derivatives along z1 and z2, then the mixed second derivative
+            w2g, w2k = _along(w2, g), _along(w2, k)
+            dw = _along(w1, g), _along(w1, k)
+            ddw = _along(w2g, k)
+            dc = [_colon(C, G), _colon(C, K)]
+            if c1 is not None:
+                dc1 = _along(c2, g) + _colon(C1, G), _along(c2, k) + _colon(C1, K)
+                dc[0] += _along(c1, g)
+                dc[1] += _along(c1, k)
+                ddc = _along(dc1[1], g) + _colon(_along(C1, k), G)
+            h = w * c
+            dh = [dw[0] * c + w * dc[0], dw[1] * c + w * dc[1]]
+            ddh = ddw * c + dw[0] * dc[1] + dw[1] * dc[0]
+            ds = c * dc[0], c * dc[1]
+            dds = dc[0] * dc[1]
+            if c1 is not None:
+                ddh += w * ddc
+                dds += c * ddc
+            qp = dds * w1 + ds[0] * w2k + ds[1] * w2g + (0.5 * c**2) * _along(_along(w3, g), k)
+            qM = ddh * C
+            if c1 is not None:
+                C2g = _along(C2, g)
+                ddc1 = _along(_along(c3, g), k) + _colon(_along(C2, k), G) + _colon(C2g, K)
+                qp += ddh * c1 + dh[0] * dc1[1] + dh[1] * dc1[0] + h * ddc1
+                qM += dh[0] * _along(C1, k) + dh[1] * _along(C1, g) + h * _along(C2g, k)
+        if b is not None:
+            qp = qp + _along(_along(b[3], g), k)
+        return _slots_last(qp, 1), _slots_last(qM, 2)
+
 
 class NormalizedDensity(EnergyDensity):
     """base(p, M) - base(0,0) - grad_p base(0,0).p - grad_M base(0,0):M."""
@@ -440,6 +533,12 @@ class NormalizedDensity(EnergyDensity):
 
     def third(self, p, M):
         return self.base.third(p, M)
+
+    def hess_apply(self, p, M, zp, zM):
+        return self.base.hess_apply(p, M, zp, zM)
+
+    def third_apply(self, p, M, z1, z2):
+        return self.base.third_apply(p, M, z1, z2)
 
 
 def normalize_density(raw: EnergyDensity, n: int = 2) -> EnergyDensity:

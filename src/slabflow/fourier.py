@@ -10,6 +10,7 @@ nonlinearities of band-limited fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -103,6 +104,52 @@ def _resize(coeffs: np.ndarray, n: int, N: int, M: int) -> np.ndarray:
     return out
 
 
+@cache
+def _embed_slots(N: int, M: int) -> np.ndarray:
+    """The coarse slot each of M fine slots reads along one axis under `_resize` from
+    N slots (N: an empty slot); both halves of the split coarse Nyquist read N/2."""
+    h = N // 2
+    slots = np.full(M, N)
+    slots[:h] = np.arange(h)
+    slots[M - h + 1:] = np.arange(N - h + 1, N)
+    slots[[h, M - h]] = h
+    slots.flags.writeable = False
+    return slots
+
+
+def embedded_support(mask: np.ndarray, src: TorusGrid, dst: TorusGrid) -> np.ndarray:
+    """Where `embed_coeffs` onto `dst` puts the nonzero coarse entries `mask`."""
+    slots = _embed_slots(src.N, dst.N)
+    out = np.zeros((src.N + 1,) * src.n, dtype=bool)
+    out[(slice(src.N),) * src.n] = mask
+    for axis in range(src.n):
+        out = out.take(slots, axis=axis)
+    return out
+
+
+def embed_half(coeffs: np.ndarray, src: TorusGrid, dst: TorusGrid) -> np.ndarray:
+    """The half spectrum, last axis 0..dst.N/2, of `embed_coeffs(coeffs, src, dst)`
+    with the grid axes moved behind the stack axes: shape stack + dst.shape[:-1] +
+    (dst.N/2 + 1,), the entries a half-spectrum inverse FFT reads.
+
+    Gathered straight from the coarse coefficients and halved axis by axis where
+    `_resize` splits the coarse Nyquist, so every entry is the full embedding's.
+    """
+    n, N, M = src.n, src.N, dst.N
+    if M <= N:
+        raise ValueError("padded size must be larger than source size")
+    h, slots = N // 2, _embed_slots(N, M)
+    c = np.moveaxis(coeffs, tuple(range(n)), tuple(range(-n, 0)))
+    out = np.zeros(c.shape[:c.ndim - n] + (N + 1,) * n, dtype=complex)
+    out[(...,) + (slice(N),) * n] = c
+    for axis, cut in enumerate([M] * (n - 1) + [M // 2 + 1], out.ndim - n):
+        out = out.take(slots[:cut], axis=axis)
+        for d in (h, M - h):
+            if d < cut:
+                out[(slice(None),) * axis + (d,)] *= 0.5
+    return out
+
+
 def embed_coeffs(coeffs: np.ndarray, src: TorusGrid, dst: TorusGrid) -> np.ndarray:
     """Zero-pad spectral coefficients from grid `src` onto the finer `dst`."""
     if dst.N < src.N:
@@ -148,6 +195,21 @@ def _representatives(mask: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.
     return idx[keep], (lin == lin_conj)[keep]
 
 
+def direct_synthesis(mask: np.ndarray, grid: TorusGrid) -> bool:
+    """The synthesis decision of `coeffs_to_samples` for a stack whose nonzero
+    entries on `grid` are `mask`: sum directly over at most SPARSE_MODES excited
+    wavevectors, where a +-k pair fills two entries and a self-conjugate k one."""
+    corners = mask[(slice(None, None, grid.N // 2),) * grid.n]  # components 0 and N/2
+    return (np.count_nonzero(mask) + np.count_nonzero(corners)) // 2 <= SPARSE_MODES
+
+
+def half_samples(half: np.ndarray, grid: TorusGrid, tail: int = 0) -> np.ndarray:
+    """Real samples of Hermitian coefficients given by their half spectrum: the grid
+    axes, the last one cut to 0..N/2, are followed by `tail` axes (one inverse FFT)."""
+    axes = tuple(range(half.ndim - tail - grid.n, half.ndim - tail))
+    return np.fft.irfftn(half, s=grid.shape, axes=axes, norm="forward")
+
+
 def coeffs_to_samples(coeffs: np.ndarray, grid: TorusGrid, profile=None) -> np.ndarray:
     """Physical samples, shape lead + grid.shape + tail, of a stack of Hermitian
     coefficient arrays, shape lead + grid.shape (real output).
@@ -163,16 +225,13 @@ def coeffs_to_samples(coeffs: np.ndarray, grid: TorusGrid, profile=None) -> np.n
     lead = coeffs.shape[:coeffs.ndim - n]
     L = int(np.prod(lead, dtype=int))
     mask = coeffs.reshape((L,) + grid.shape).any(axis=0)
-    # excited wavevectors: a +-k pair fills two entries, a self-conjugate k one
-    excited = (np.count_nonzero(mask) + np.count_nonzero(mask[np.ix_(*[(0, N // 2)] * n)])) // 2
-    if excited > SPARSE_MODES:
+    if not direct_synthesis(mask, grid):
         c, t = coeffs[..., :N // 2 + 1], 0
         if profile is not None:
             p = profile(grid.wavevectors()[..., :N // 2 + 1])
             t = p.ndim - n
             c = c.reshape(c.shape + (1,) * t) * p
-        return np.fft.irfftn(c, s=grid.shape, axes=tuple(range(c.ndim - t - n, c.ndim - t)),
-                             norm="forward")
+        return half_samples(c, grid, t)
     reps, self_conj = _representatives(mask, grid)
     a = np.moveaxis(coeffs[(...,) + tuple(reps.T)], -1, 0).reshape(len(reps), L, 1)
     a = np.where(self_conj[:, None, None], a.real, 2.0 * a)

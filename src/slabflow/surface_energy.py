@@ -13,18 +13,19 @@ placed on every ordering of their slots.  The variations are then
 
 with J = (grad, hess) and J*(q, N) = -div q + hess : N taken from one
 transform of the slot field (q, N); Q_eta and the Taylor remainders are
-full contractions of the slot tensors with z.  The third variation keeps its
-block einsums: its slot tensor would hold s^3 = 216 entries per point.  fMMM,
+full contractions of the slot tensors with z.  The second and third
+variations build no derivative tensor: the density applies its second and
+third derivatives to the directions (`hess_apply`, `third_apply`).  fMMM,
 every density's read-only zero view, enters no variation.  The reference form
 of dW in derivatives of eta up to order four is `first_variation_expanded`.
 
 Memory layout: the jet, the density blocks and the slot tensors all live
 slots first, grid last, the layout they are computed in.  The variations
-contract them there and hand `adjoint_jet` a slot field whose slot axis is
-first.  Slots-last arrays, the shapes the
-interfaces take and give (`derivative_tensors`, `_jet_fields`, the density
-methods, `_slot_tensor`, `_slots`, `hessian_form`), are views of that
-memory, so moving their slots back to the front is free.
+hand `adjoint_jet` a slot field whose slot axis is first.  Slots-last
+arrays, the shapes the interfaces take and give (`derivative_tensors`,
+`_jet_fields`, the density methods, `_slot_tensor`, `_slots`,
+`hessian_form`), are views of that memory, so moving their slots back to
+the front is free.
 """
 
 from __future__ import annotations
@@ -43,7 +44,11 @@ from .fourier import (
     axis_multipliers,
     coeffs_to_samples,
     conjugacy_representatives,
+    direct_synthesis,
     embed_coeffs,
+    embed_half,
+    embedded_support,
+    half_samples,
     samples_to_coeffs,
     truncate_coeffs,
 )
@@ -94,7 +99,8 @@ class Jet:
 @cache
 def _jet_table(fine: TorusGrid, max_order: int):
     """Symbols on `fine` of the distinct derivatives of orders 1..max_order, sorted by
-    multi-index, and per order the row of each entry (n,)*order; read-only."""
+    multi-index, their half spectrum (last axis 0..fine.N/2) and per order the row of
+    each entry (n,)*order; read-only."""
     n = fine.n
     mults = axis_multipliers(fine)
     orders = range(1, max_order + 1)
@@ -107,9 +113,10 @@ def _jet_table(fine: TorusGrid, max_order: int):
             symbol *= mults[axis] ** m
     index = {r: np.array([distinct.index(m) for m in multis[r]]).reshape((n,) * r)
              for r in orders}
-    for a in (symbols, *index.values()):
+    half = np.ascontiguousarray(symbols[..., :fine.N // 2 + 1])
+    for a in (symbols, half, *index.values()):
         a.flags.writeable = False
-    return symbols, index
+    return symbols, half, index
 
 
 def derivative_tensors(coeffs: np.ndarray, grid: TorusGrid, max_order: int):
@@ -121,16 +128,27 @@ def derivative_tensors(coeffs: np.ndarray, grid: TorusGrid, max_order: int):
     of the whole stack, synthesized in one call, and the padded grid.  Each
     array is a slots-last view of memory laid out batch + (n,)*order +
     fine.shape, so a field's tensor moved back to slots first is contiguous.
+
+    The stack of derivatives takes the synthesis `coeffs_to_samples` would
+    choose for it.  A dense one is formed on the half spectrum only, from
+    `embed_half`, and inverse transformed there: those are the entries the
+    half-spectrum FFT reads, so the samples keep their bits.
     """
     fine = grid.padded()
     n = grid.n
-    symbols, index = _jet_table(fine, max_order)
-    base = embed_coeffs(coeffs, grid, fine)
-    b = base.ndim - n
+    symbols, half, index = _jet_table(fine, max_order)
+    b = coeffs.ndim - n
+    # the derivatives' nonzero entries: the embedded stack's but k = 0, where every
+    # symbol vanishes (the fine Nyquist planes, where some do, hold no coefficient)
+    mask = embedded_support(coeffs.reshape(grid.shape + (-1,)).any(axis=-1), grid, fine)
+    mask.flat[0] = False
     # memory is (field, derivative, point): each field's tensors are slots first
-    base = np.ascontiguousarray(np.moveaxis(base, tuple(range(n)), tuple(range(-n, 0))))
-    base = np.expand_dims(base, b)
-    samples = coeffs_to_samples(base * symbols, fine)
+    if direct_synthesis(mask, fine):
+        base = embed_coeffs(coeffs, grid, fine)
+        base = np.ascontiguousarray(np.moveaxis(base, tuple(range(n)), tuple(range(-n, 0))))
+        samples = coeffs_to_samples(np.expand_dims(base, b) * symbols, fine)
+    else:
+        samples = half_samples(np.expand_dims(embed_half(coeffs, grid, fine), b) * half, fine)
     return {r: np.moveaxis(np.take(samples, idx, axis=b), range(b, b + r), range(-r, 0))
             for r, idx in index.items()}, fine
 
@@ -185,15 +203,22 @@ def _slot_form(blocks, z: np.ndarray) -> np.ndarray:
                      _slot_tensor(blocks), *[z] * len(idx))
 
 
+@cache
+def _adjoint_symbols(fine: TorusGrid) -> np.ndarray:
+    """The symbol of J* on each slot of `fine`: -m_k on the slots q_k, then m_i m_j
+    on the slots N_ij; read-only."""
+    symbols, _, index = _jet_table(fine, 2)
+    out = np.concatenate([-symbols[index[1]], symbols[index[2].ravel()]])
+    out.flags.writeable = False
+    return out
+
+
 def adjoint_jet(w: np.ndarray, fine: TorusGrid, coarse: TorusGrid) -> SpectralField:
     """J*(q, N) = -div q + hess : N of the slot field w = (q, N), slot axis first,
     shape (n + n^2,) + fine.shape, assembled spectrally from one transform of the
     slots and truncated."""
-    symbols, index = _jet_table(fine, 2)
-    # -m_k on the slots q_k, then m_i m_j on the slots N_ij
-    symbols = np.concatenate([-symbols[index[1]], symbols[index[2].ravel()]])
     out = np.zeros(fine.shape, dtype=complex)
-    for symbol, c in zip(symbols, samples_to_coeffs(w, fine)):
+    for symbol, c in zip(_adjoint_symbols(fine), samples_to_coeffs(w, fine)):
         out += symbol * c
     return SpectralField(coarse, truncate_coeffs(out, fine, coarse))
 
@@ -247,8 +272,7 @@ def first_variation_expanded(f: EnergyDensity, eta: SpectralField) -> SpectralFi
 def second_variation_apply(f: EnergyDensity, eta: SpectralField, phi: SpectralField) -> SpectralField:
     """(d2W(eta)) phi = J*(hess f(J eta) . J phi)."""
     (p, gp), (M, gM), fine = _jet_fields(eta, phi)
-    z = _slots_first(_slots(gp, gM), 1)
-    w = np.einsum("ij...,j...->i...", _slots_first(_slot_tensor(f.hess(p, M)), 2), z)
+    w = _slots_first(_slots(*f.hess_apply(p, M, gp, gM)), 1)
     check_finite(f, w)
     return adjoint_jet(w, fine, eta.grid)
 
@@ -258,18 +282,9 @@ def third_variation_apply(
 ) -> SpectralField:
     """(d3W(eta))(phi, psi) = J*(third f(J eta) . (J phi x J psi))."""
     (p, gp, hp), (M, gM, hM), fine = _jet_fields(eta, phi, psi)
-    fppp, fppM, fpMM = (_slots_first(t, r) for r, t in enumerate(f.third(p, M)[:3], 3))
-    gp, hp = _slots_first(gp, 1), _slots_first(hp, 1)
-    gM, hM = _slots_first(gM, 2), _slots_first(hM, 2)
-    q = np.einsum("klm...,l...,m...->k...", fppp, gp, hp)
-    q += np.einsum("klij...,l...,ij...->k...", fppM, gp, hM)
-    q += np.einsum("klij...,l...,ij...->k...", fppM, hp, gM)
-    q += np.einsum("kijrs...,ij...,rs...->k...", fpMM, gM, hM)
-    N = np.einsum("lmij...,l...,m...->ij...", fppM, gp, hp)
-    N += np.einsum("mijkl...,m...,kl...->ij...", fpMM, gp, hM)
-    N += np.einsum("mijkl...,m...,kl...->ij...", fpMM, hp, gM)
-    check_finite(f, q, N)
-    return adjoint_jet(np.concatenate([q, N.reshape((-1,) + q.shape[1:])]), fine, eta.grid)
+    w = _slots_first(_slots(*f.third_apply(p, M, (gp, gM), (hp, hM))), 1)
+    check_finite(f, w)
+    return adjoint_jet(w, fine, eta.grid)
 
 
 def hessian_form(hess, gp: np.ndarray, gM: np.ndarray) -> np.ndarray:

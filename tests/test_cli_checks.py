@@ -106,3 +106,13 @@ class TestCheckTable:
         failed = sum(line.endswith("FAIL") for line in out.split("\n"))
         assert failed >= 1
         assert f"geometry-check: {5 - failed}/5 checks passed" in out
+
+
+def test_area_waves_first_slope_is_two(tmp_path):
+    """The fit keeps only errors well above the roundoff of W, so the central
+    difference of W shows its second order."""
+    assert main(["--config", str(CONFIGS / "area_waves.json"), "--out", str(tmp_path),
+                 "variations"]) == 0
+    rows = dict(line.split(",") for line in
+                (tmp_path / "variations_report.csv").read_text().strip().split("\n")[1:])
+    assert abs(float(rows["fd_slope_first_variation"]) - 2.0) <= 0.01

@@ -32,6 +32,11 @@ def families(n: int):
             dn.anisotropic(C0=C0, n=n), dn.combo(-1.0, 0.5)]
 
 
+def oracle_families(n: int):
+    """The five families, then the normalized combo, whose actions forward to its base."""
+    return families(n) + [dn.normalize_density(dn.combo(-1.0, 0.5), n)]
+
+
 def jet_points(n: int, count: int = 5):
     rng = np.random.default_rng(n)
     p = 0.3 * rng.standard_normal((count, n))
@@ -127,17 +132,17 @@ def assert_matches(out, ref):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("family", range(5))
+@pytest.mark.parametrize("family", range(6))
 def test_second_variation_matches_termwise_oracle(n, family):
-    f = families(n)[family]
+    f = oracle_families(n)[family]
     _, (eta, phi, _) = fields(n, family)
     assert_matches(se.second_variation_apply(f, eta, phi), second_oracle(f, eta, phi))
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("family", [0, 1, 2, 4])
+@pytest.mark.parametrize("family", [0, 1, 2, 4, 5])
 def test_third_variation_matches_termwise_oracle(n, family):
-    f = families(n)[family]
+    f = oracle_families(n)[family]
     _, (eta, phi, psi) = fields(n, family)
     assert_matches(se.third_variation_apply(f, eta, phi, psi), third_oracle(f, eta, phi, psi))
 
