@@ -85,19 +85,24 @@ def _fd_check(exact: float, F, eta: SpectralField, phi: SpectralField):
     two values of F, divided by the step, with a margin of 1000, so that no
     fitted error depends on the last bits of F.
     """
-    fd = lambda eps: (F(eta + eps * phi) - F(eta - eps * phi)) / (2 * eps)
+    def fd(eps):
+        """The central difference at eps and its roundoff floor."""
+        plus, minus = F(eta + eps * phi), F(eta - eps * phi)
+        floor = 1000.0 * np.finfo(float).eps * max(abs(plus), abs(minus)) / eps
+        return (plus - minus) / (2 * eps), floor
+
     rows, floors = [], []
     for eps in [1e-3 / 2**i for i in range(7)]:
-        plus, minus = F(eta + eps * phi), F(eta - eps * phi)
-        rows.append((eps, abs((plus - minus) / (2 * eps) - exact)))
-        floors.append(1000.0 * np.finfo(float).eps * max(abs(plus), abs(minus)) / eps)
+        quotient, floor = fd(eps)
+        rows.append((eps, abs(quotient - exact)))
+        floors.append(floor)
     eps, errs = np.array(rows).T
     good = np.logical_and.accumulate(np.r_[True, errs[1:] <= 0.5 * errs[:-1]]
                                      & (errs > np.array(floors)))
     slope = float("nan")
     if good.sum() >= 3:
         slope = float(np.polyfit(np.log(eps[good]), np.log(errs[good]), 1)[0])
-    return rows, slope, abs(fd(1e-4) - exact) / max(abs(exact), 1e-300)
+    return rows, slope, abs(fd(1e-4)[0] - exact) / max(abs(exact), 1e-300)
 
 
 # ---------------------------------------------------------------------------

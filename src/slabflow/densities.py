@@ -26,7 +26,9 @@ density is at most quadratic in M: fMMM = 0 is handed out as a read-only zero vi
     hess_apply  -> hess f . z             as (qp[k], qM[i,j])
     third_apply -> third f . (z1 x z2)    as (qp[k], qM[i,j])
 
-apply the derivatives to jet directions z = (zp, zM) without building them.
+apply the derivatives to jet directions z = (zp, zM).  The bending form
+applies them without building the tensors; any other density contracts its
+`hess` and `third` with the directions.
 
 Memory layout: every tensor is computed slots first, grid axes last, so that
 broadcasting runs its inner loops along the grid points.  The slots-last
@@ -299,7 +301,9 @@ def _jet_first(p, M):
 
 
 class EnergyDensity:
-    """Interface: value / grad / hess / third plus a label.
+    """Interface: value / grad / hess / third plus a label.  The actions
+    hess_apply / third_apply contract hess / third with the directions unless a
+    subclass applies them directly.
 
     Subclasses must be normalized, f(0,0) = 0 and grad f(0,0) = 0; use
     `normalize_density` to strip the affine part of an arbitrary density.
@@ -321,12 +325,27 @@ class EnergyDensity:
         raise NotImplementedError
 
     def hess_apply(self, p, M, zp, zM):
-        """(qp, qM) = hess f . z for the jet direction z = (zp, zM)."""
-        raise NotImplementedError
+        """(qp, qM) = hess f . z for the jet direction z = (zp, zM), contracted from
+        `hess`; a density may apply it without building the blocks."""
+        fpp, fpM, fMM = self.hess(p, M)
+        qp = np.einsum("...kl,...l->...k", fpp, zp) + np.einsum("...kij,...ij->...k", fpM, zM)
+        qM = np.einsum("...kij,...k->...ij", fpM, zp) + np.einsum("...ijkl,...kl->...ij", fMM, zM)
+        return qp, qM
 
     def third_apply(self, p, M, z1, z2):
-        """(qp, qM) = third f . (z1 x z2) for jet directions z1, z2, each (zp, zM)."""
-        raise NotImplementedError
+        """(qp, qM) = third f . (z1 x z2) for jet directions z1, z2, each (zp, zM),
+        contracted from `third`; a density may apply it without building the blocks."""
+        (g, G), (k, K) = z1, z2
+        fppp, fppM, fpMM, fMMM = self.third(p, M)
+        qp = (np.einsum("...klm,...l,...m->...k", fppp, g, k)
+              + np.einsum("...klij,...l,...ij->...k", fppM, g, K)
+              + np.einsum("...klij,...l,...ij->...k", fppM, k, G)
+              + np.einsum("...kijrs,...ij,...rs->...k", fpMM, G, K))
+        qM = (np.einsum("...lmij,...l,...m->...ij", fppM, g, k)
+              + np.einsum("...mijkl,...m,...kl->...ij", fpMM, g, K)
+              + np.einsum("...mijkl,...m,...kl->...ij", fpMM, k, G)
+              + np.einsum("...ijklrs,...kl,...rs->...ij", fMMM, G, K))
+        return qp, qM
 
     # -- convenience -------------------------------------------------------
 

@@ -89,25 +89,25 @@ def _resize(coeffs: np.ndarray, n: int, N: int, M: int) -> np.ndarray:
     """
     if M == N:
         return coeffs.copy()
-    h = min(N, M) // 2
+    if M > N:
+        return _embed(coeffs, N, M, range(n), [M] * n)
+    h = M // 2
     out = coeffs
     for axis in range(n):
         c = np.moveaxis(out, axis, 0)
         r = np.zeros((M,) + c.shape[1:], dtype=complex)
         r[:h] = c[:h]
         r[M - h + 1:] = c[N - h + 1:]
-        if M > N:
-            r[h] = r[M - h] = 0.5 * c[h]
-        else:
-            r[h] = c[h] + c[N - h]
+        r[h] = c[h] + c[N - h]
         out = np.moveaxis(r, 0, axis)
     return out
 
 
 @cache
 def _embed_slots(N: int, M: int) -> np.ndarray:
-    """The coarse slot each of M fine slots reads along one axis under `_resize` from
-    N slots (N: an empty slot); both halves of the split coarse Nyquist read N/2."""
+    """The coarse slot each of M fine slots reads along one axis when N slots are
+    zero-padded onto M (N: an empty slot); both halves of the split coarse Nyquist
+    read N/2."""
     h = N // 2
     slots = np.full(M, N)
     slots[:h] = np.arange(h)
@@ -117,37 +117,44 @@ def _embed_slots(N: int, M: int) -> np.ndarray:
     return slots
 
 
+def _embed_gather(c: np.ndarray, N: int, M: int, axes, cuts, dtype) -> np.ndarray:
+    """c, N slots on each of `axes`, gathered by `_embed_slots` onto the first
+    `cut` of M slots on each axis (the split Nyquist not yet halved)."""
+    axes = list(axes)
+    slots = _embed_slots(N, M)
+    out = np.zeros([N + 1 if a in axes else s for a, s in enumerate(c.shape)], dtype=dtype)
+    out[tuple(slice(N) if a in axes else slice(None) for a in range(c.ndim))] = c
+    for axis, cut in zip(axes, cuts):
+        out = out.take(slots[:cut], axis=axis)
+    return out
+
+
+def _embed(c: np.ndarray, N: int, M: int, axes, cuts) -> np.ndarray:
+    """The embedding of c from N onto M slots on each of `axes`, each cut to its
+    first `cut` slots: zero-padded, with the coarse Nyquist split evenly."""
+    out = _embed_gather(c, N, M, axes, cuts, complex)
+    h = N // 2
+    for axis, cut in zip(axes, cuts):
+        for d in (h, M - h):
+            if d < cut:
+                out[(slice(None),) * axis + (d,)] *= 0.5
+    return out
+
+
 def embedded_support(mask: np.ndarray, src: TorusGrid, dst: TorusGrid) -> np.ndarray:
     """Where `embed_coeffs` onto `dst` puts the nonzero coarse entries `mask`."""
-    slots = _embed_slots(src.N, dst.N)
-    out = np.zeros((src.N + 1,) * src.n, dtype=bool)
-    out[(slice(src.N),) * src.n] = mask
-    for axis in range(src.n):
-        out = out.take(slots, axis=axis)
-    return out
+    return _embed_gather(mask, src.N, dst.N, range(src.n), [dst.N] * src.n, bool)
 
 
 def embed_half(coeffs: np.ndarray, src: TorusGrid, dst: TorusGrid) -> np.ndarray:
     """The half spectrum, last axis 0..dst.N/2, of `embed_coeffs(coeffs, src, dst)`
     with the grid axes moved behind the stack axes: shape stack + dst.shape[:-1] +
-    (dst.N/2 + 1,), the entries a half-spectrum inverse FFT reads.
-
-    Gathered straight from the coarse coefficients and halved axis by axis where
-    `_resize` splits the coarse Nyquist, so every entry is the full embedding's.
-    """
+    (dst.N/2 + 1,), the entries a half-spectrum inverse FFT reads."""
     n, N, M = src.n, src.N, dst.N
     if M <= N:
         raise ValueError("padded size must be larger than source size")
-    h, slots = N // 2, _embed_slots(N, M)
     c = np.moveaxis(coeffs, tuple(range(n)), tuple(range(-n, 0)))
-    out = np.zeros(c.shape[:c.ndim - n] + (N + 1,) * n, dtype=complex)
-    out[(...,) + (slice(N),) * n] = c
-    for axis, cut in enumerate([M] * (n - 1) + [M // 2 + 1], out.ndim - n):
-        out = out.take(slots[:cut], axis=axis)
-        for d in (h, M - h):
-            if d < cut:
-                out[(slice(None),) * axis + (d,)] *= 0.5
-    return out
+    return _embed(c, N, M, range(c.ndim - n, c.ndim), [M] * (n - 1) + [M // 2 + 1])
 
 
 def embed_coeffs(coeffs: np.ndarray, src: TorusGrid, dst: TorusGrid) -> np.ndarray:

@@ -14,9 +14,9 @@ placed on every ordering of their slots.  The variations are then
 with J = (grad, hess) and J*(q, N) = -div q + hess : N taken from one
 transform of the slot field (q, N); Q_eta and the Taylor remainders are
 full contractions of the slot tensors with z.  The second and third
-variations build no derivative tensor: the density applies its second and
-third derivatives to the directions (`hess_apply`, `third_apply`).  fMMM,
-every density's read-only zero view, enters no variation.  The reference form
+variations take the density's second and third derivatives applied to the
+directions (`hess_apply`, `third_apply`), which a bending density forms
+without building a derivative tensor.  The reference form
 of dW in derivatives of eta up to order four is `first_variation_expanded`.
 
 Memory layout: the jet, the density blocks and the slot tensors all live
@@ -139,8 +139,10 @@ def derivative_tensors(coeffs: np.ndarray, grid: TorusGrid, max_order: int):
     symbols, half, index = _jet_table(fine, max_order)
     b = coeffs.ndim - n
     # the derivatives' nonzero entries: the embedded stack's but k = 0, where every
-    # symbol vanishes (the fine Nyquist planes, where some do, hold no coefficient)
-    mask = embedded_support(coeffs.reshape(grid.shape + (-1,)).any(axis=-1), grid, fine)
+    # symbol vanishes (the fine Nyquist planes, where some do, hold no coefficient);
+    # any() runs over a batch-first copy, as it is slow along a short last axis
+    batch_first = np.moveaxis(coeffs.reshape(grid.shape + (-1,)), -1, 0).copy()
+    mask = embedded_support(batch_first.any(axis=0), grid, fine)
     mask.flat[0] = False
     # memory is (field, derivative, point): each field's tensors are slots first
     if direct_synthesis(mask, fine):

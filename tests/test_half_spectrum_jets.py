@@ -33,11 +33,26 @@ def mode_stack(grid: TorusGrid, modes: list, fields: int, rng) -> np.ndarray:
     return fourier.hermitian_scatter(grid, amps, (fields,))
 
 
+def zero_pad(coeffs: np.ndarray, grid: TorusGrid, fine: TorusGrid) -> np.ndarray:
+    """The full-spectrum embedding written out axis by axis: zero-pad, and split the
+    coarse Nyquist into halves at h and M - h."""
+    N, M, h = grid.N, fine.N, grid.N // 2
+    out = coeffs
+    for axis in range(grid.n):
+        c = np.moveaxis(out, axis, 0)
+        r = np.zeros((M,) + c.shape[1:], dtype=complex)
+        r[:h] = c[:h]
+        r[M - h + 1:] = c[N - h + 1:]
+        r[h] = r[M - h] = 0.5 * c[h]
+        out = np.moveaxis(r, 0, axis)
+    return out
+
+
 def reference_jets(coeffs: np.ndarray, grid: TorusGrid, max_order: int) -> dict:
     """The jets from the full spectrum: embed, times every symbol, one synthesis."""
     n, fine = grid.n, grid.padded()
     symbols, _, index = se._jet_table(fine, max_order)
-    base = np.moveaxis(embed_coeffs(coeffs, grid, fine), tuple(range(n)), tuple(range(-n, 0)))
+    base = np.moveaxis(zero_pad(coeffs, grid, fine), tuple(range(n)), tuple(range(-n, 0)))
     b = base.ndim - n
     samples = fourier.coeffs_to_samples(np.expand_dims(base, b) * symbols, fine)
     return {r: np.moveaxis(np.take(samples, idx, axis=b), range(b, b + r), range(-r, 0))
@@ -100,7 +115,7 @@ def test_dense_jets_are_the_half_spectrum_inverse_fft():
     coeffs = random_stack(grid, 3, np.random.default_rng(7))
     fine = grid.padded()
     symbols, _, index = se._jet_table(fine, 2)
-    base = np.moveaxis(embed_coeffs(coeffs, grid, fine), (0, 1), (-2, -1))
+    base = np.moveaxis(zero_pad(coeffs, grid, fine), (0, 1), (-2, -1))
     full = base[:, None] * symbols
     samples = np.fft.irfftn(full[..., :fine.N // 2 + 1], s=fine.shape, axes=(-2, -1),
                             norm="forward")
@@ -113,9 +128,22 @@ def test_embed_half_is_the_kept_half_of_the_embedding():
         grid = TorusGrid(n, N)
         coeffs = random_stack(grid, 2, np.random.default_rng(N))
         fine = grid.padded()
-        full = np.moveaxis(embed_coeffs(coeffs, grid, fine), tuple(range(n)),
+        full = np.moveaxis(zero_pad(coeffs, grid, fine), tuple(range(n)),
                            tuple(range(-n, 0)))
         assert same_bits(fourier.embed_half(coeffs, grid, fine), full[..., :fine.N // 2 + 1])
+
+
+@pytest.mark.parametrize("fields", [None, 1, 3])
+def test_embedding_is_the_zero_padding(fields):
+    # embed_coeffs and embed_half share one gather; this holds it to the padding itself
+    for n, N in GRIDS:
+        grid = TorusGrid(n, N)
+        coeffs = random_stack(grid, fields, np.random.default_rng(N + n))
+        fine = grid.padded()
+        assert same_bits(embed_coeffs(coeffs, grid, fine), zero_pad(coeffs, grid, fine))
+        mask = coeffs != 0 if fields is None else (coeffs != 0).any(axis=-1)
+        assert np.array_equal(fourier.embedded_support(mask, grid, fine),
+                              zero_pad(mask.astype(complex), grid, fine) != 0)
 
 
 def crossover_stacks(rng):

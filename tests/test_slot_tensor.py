@@ -32,9 +32,32 @@ def families(n: int):
             dn.anisotropic(C0=C0, n=n), dn.combo(-1.0, 0.5)]
 
 
+class BlocksOnly(dn.EnergyDensity):
+    """A density that gives its derivative blocks but no actions of its own."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def value(self, p, M):
+        return self.base.value(p, M)
+
+    def grad(self, p, M):
+        return self.base.grad(p, M)
+
+    def hess(self, p, M):
+        return self.base.hess(p, M)
+
+    def third(self, p, M):
+        return self.base.third(p, M)
+
+
 def oracle_families(n: int):
-    """The five families, then the normalized combo, whose actions forward to its base."""
-    return families(n) + [dn.normalize_density(dn.combo(-1.0, 0.5), n)]
+    """The five families, then the normalized combo, whose actions forward to its base,
+    then the combo as a density without actions, bare and normalized, whose actions
+    are the interface's contractions of its blocks."""
+    combo = dn.combo(-1.0, 0.5)
+    return families(n) + [dn.normalize_density(combo, n), BlocksOnly(combo),
+                          dn.normalize_density(BlocksOnly(combo), n)]
 
 
 def jet_points(n: int, count: int = 5):
@@ -132,7 +155,7 @@ def assert_matches(out, ref):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("family", range(6))
+@pytest.mark.parametrize("family", range(8))
 def test_second_variation_matches_termwise_oracle(n, family):
     f = oracle_families(n)[family]
     _, (eta, phi, _) = fields(n, family)
@@ -140,7 +163,7 @@ def test_second_variation_matches_termwise_oracle(n, family):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("family", [0, 1, 2, 4, 5])
+@pytest.mark.parametrize("family", [0, 1, 2, 4, 5, 6, 7])
 def test_third_variation_matches_termwise_oracle(n, family):
     f = oracle_families(n)[family]
     _, (eta, phi, psi) = fields(n, family)
