@@ -4,9 +4,11 @@ The linearized system diagonalizes over horizontal wavevectors, so a state
 is one stack of per-mode profile vectors (one conjugacy representative per
 excited wavevector; the -k content is implied by reality).  Steps are
 implicit (Crank-Nicolson by default, backward Euler optionally): each mode
-set caches the stack of its per-mode one-step propagators, real in the
-frame u_h -> -i u_h, and one real batched product advances every mode; the
-functionals are batched over the state's stack.
+set caches one one-step propagator per lattice-symmetry class of its modes,
+real in the frame u_h -> -i u_h, and a stepped state holds its modes in
+class slots, so one real batched product advances every mode and the
+E_eq/D_eq pair reads the slots; the other functionals are batched over the
+state's stack.
 
 Functionals follow three conventions:
   * equilibrium (E_eq, D_eq): quadratic forms of the unknowns and their
@@ -78,19 +80,38 @@ class FlattenedState:
 
     The state is one complex stack X of mode vectors, shape (modes, dim), row i
     holding the mode of wavevector keys[i]; `modes` is the {k: row} view of X,
-    whose rows write through to the stack.
+    whose rows write through to the stack.  A state returned by `Simulator.step`
+    holds its modes in the class slots of the mode set that stepped it instead
+    (`_ModeSet.slots`), and builds X from them when X, `modes` or `stack()` is
+    first read; that read drops the slots, so a write through X or `modes` is the
+    state from then on.
     """
 
     def __init__(self, dom: FlattenedDomain, modes: dict, t: float = 0.0):
         self.dom, self.keys, self.t = dom, tuple(modes), t
         X = np.array(list(modes.values()), dtype=complex)
-        self.X = X.reshape(len(self.keys), self.layout.dim)
+        self._X, self._slots = X.reshape(len(self.keys), self.layout.dim), None
 
-    def _like(self, X: np.ndarray, t: float) -> "FlattenedState":
-        """The state of the same wavevectors with stack X at time t, built without a dict."""
+    def _like(self, X, t: float, slots: tuple | None = None) -> "FlattenedState":
+        """The state of the same wavevectors with stack X, or with the slots
+        (mode set, Z) in its place, at time t, built without a dict."""
         out = object.__new__(FlattenedState)
-        out.dom, out.keys, out.X, out.t = self.dom, self.keys, X, t
+        out.dom, out.keys, out.t, out._X, out._slots = self.dom, self.keys, t, X, slots
         return out
+
+    @property
+    def X(self) -> np.ndarray:
+        if self._slots is not None:
+            c, Z = self._slots
+            self._X, self._slots = c.unslot(Z), None
+        return self._X
+
+    def _class_slots(self, c: "_ModeSet") -> np.ndarray:
+        """The state in the class slots of mode set c: its own if c made them, else
+        gathered from X for this call."""
+        if self._slots is not None and self._slots[0] is c:
+            return self._slots[1]
+        return c.slots(self.X)
 
     def copy(self) -> "FlattenedState":
         return self._like(self.X.copy(), self.t)
@@ -245,9 +266,17 @@ class SimulationSettings:
         _check_scheme(self.scheme)
 
 
+def _octant_member(kt: tuple) -> tuple:
+    """kc = (max |k_j|, min |k_j|), the member of k's lattice-symmetry class in the first
+    octant: a signed permutation Q of the horizontal velocity blocks maps kc's mode
+    operator onto k's (`Simulator.eigenmode_data`)."""
+    return tuple(sorted(map(abs, kt), reverse=True))
+
+
 @dataclass(frozen=True)
 class _ModeSet:
-    """Per-mode constants of one mode set, in the order of its stack, and its propagators."""
+    """Per-mode constants of one mode set, in the order of its stack, its lattice-symmetry
+    classes (kc, sigma) and their propagators."""
 
     kappa: np.ndarray   # 2 pi k, (modes, n)
     k2: np.ndarray      # |kappa|^2
@@ -255,16 +284,39 @@ class _ModeSet:
     weight: np.ndarray  # 1 at k = 0, 2 for a conjugate pair
     mean: np.ndarray    # k = 0
     hs: np.ndarray      # (4, 4, modes), see Simulator._mode_set
-    # The equilibrium pair, see Simulator._equilibrium_factors: each mode's rotation of
-    # u_h onto (kappa_hat, its normal), its slot in the (class, rank) layout of the
-    # factors, and the weights of the sigma terms on |eta|^2 and |u_3(top)|^2.
-    rotation: np.ndarray  # (modes, n, n)
-    slot: np.ndarray      # (modes,)
-    width: int            # most modes of one class
-    factors: tuple        # longitudinal and, for n = 2, transverse [R_E^T | R_D^T]
-    sigma_eta: np.ndarray
+    # The class slots Z (classes, 2 width, dim), see Simulator._mode_set: the real and
+    # imaginary rows of y = S Q^T x for each member x of a class, in kc's real frame.
+    classes: tuple        # (kc, sigma) of each class
+    width: int            # most members of one class
+    place: np.ndarray     # (modes, dim, 2): where each float of X sits in the flat slots
+    sign: np.ndarray      # (modes, dim, 2): +-1, the sign it takes there
+    mean_eta: np.ndarray  # slots of Re eta at k = 0, carried by a step
+    mean_imag: np.ndarray  # slots of Im x at k = 0, zeroed by a step
+    # The equilibrium pair, see Simulator._equilibrium_factors: the factors of each
+    # class's integer |k|^2, its rotation of u_h onto (kappa_hat, its normal), and
+    # the weights of the sigma terms on eta^2 and u_3(top)^2 in each slot row.
+    class_factors: tuple  # longitudinal and, for n = 2, transverse [R_E^T | R_D^T]
+    rotation: np.ndarray  # (classes, n, n)
+    sigma_eta: np.ndarray  # (classes, 2 width)
     sigma_top: np.ndarray
     propagators: dict = field(default_factory=dict)  # (dt, scheme) -> Simulator._propagator
+
+    def slots(self, X: np.ndarray) -> np.ndarray:
+        """The class slots of the stack X, zero in empty slots."""
+        Z = np.zeros((len(self.classes), 2 * self.width, X.shape[-1]))
+        Z.reshape(-1)[self.place] = self.sign * np.ascontiguousarray(X).view(float).reshape(
+            self.sign.shape)
+        return Z
+
+    def unslot(self, Z: np.ndarray) -> np.ndarray:
+        """The stack X of the class slots Z: the exact inverse of `slots`."""
+        return (self.sign * Z.reshape(-1)[self.place]).view(complex)[..., 0]
+
+    @property
+    def factors(self) -> tuple:
+        """The factors of each distinct integer |k|^2, in increasing order."""
+        q = [sum(c * c for c in kc) for kc, _ in self.classes]
+        return tuple(F[np.unique(q, return_index=True)[1]] for F in self.class_factors)
 
 
 class Simulator:
@@ -275,10 +327,12 @@ class Simulator:
         self.g = float(g)
         self.dom = dom
         self.layout = ModeLayout(dom.n, dom.M_v)
-        # The per-mode stores: the mode sets, and the filtered spectrum of each
-        # lattice-symmetry class solved so far (`_class_spectrum`), about 68 KB a class
-        # at M_v = 24.  `op` and `sigma` rebuild on every call, since a cached
-        # operator would keep two complex dim x dim matrices per mode alive.
+        # The per-class stores: the mode sets, each with one real propagator per
+        # lattice-symmetry class (kc, sigma) of its modes for each time step and scheme
+        # (`_ModeSet`), and the filtered spectrum of each class solved so far
+        # (`_class_spectrum`), about 68 KB a class at M_v = 24.  `op` and `sigma`
+        # rebuild on every call, since a cached operator would keep two complex
+        # dim x dim matrices per mode alive.
         self._mode_sets: dict[tuple, _ModeSet] = {}
         self._classes: dict[tuple, Spectrum] = {}
         # The real frame S: -i on the horizontal velocity blocks, 1 elsewhere.  Every
@@ -339,7 +393,7 @@ class Simulator:
         """The filtered spectrum of the lattice-symmetry class of the canonical k, solved
         once per class at its octant member kc = (max |k_j|, min |k_j|) with sigma(k)."""
         band_wavevector(self.dom.horizontal, kt)
-        kc, sigma = tuple(sorted(map(abs, kt), reverse=True)), self.sigma(kt)
+        kc, sigma = _octant_member(kt), self.sigma(kt)
         if (kc, sigma) not in self._classes:
             self._classes[kc, sigma] = solve_spectrum(assemble_mode(kc, self.dom.b, sigma,
                                                                     self.dom.M_v))
@@ -418,8 +472,10 @@ class Simulator:
     # -- stepping --------------------------------------------------------------
 
     def _propagator(self, keys: tuple, dt: float, scheme: str) -> np.ndarray:
-        """One-step propagators of a mode set in the real frame, stacked (modes, dim, dim):
-        S A1^-1 A2 S^-1, factored from the real S A1 S^-1 and S A2 S^-1."""
+        """One-step propagators of a mode set's classes in the real frame, stacked
+        transposed (classes, dim, dim) to act on slot rows: P^T for P = S A1^-1 A2 S^-1
+        at each class's octant member kc, factored from the real S A1 S^-1 and S A2 S^-1.
+        A member k = Q kc steps by Q P Q^T."""
         _check_scheme(scheme)
         c = self._mode_set(keys)
         if (dt, scheme) not in c.propagators:
@@ -428,40 +484,49 @@ class Simulator:
             linalg = _scipy_linalg()
             theta = _THETA[scheme]
             s = self._phase
-            P = np.empty((len(keys), self.layout.dim, self.layout.dim))
-            for i, kt in enumerate(keys):
-                op = assemble_mode(kt, self.dom.b, c.sigma[i], self.dom.M_v)
+            P = np.empty((len(c.classes), self.layout.dim, self.layout.dim))
+            for i, (kc, sigma) in enumerate(c.classes):
+                op = assemble_mode(kc, self.dom.b, sigma, self.dom.M_v)
                 A1 = op.B / dt + theta * op.L
                 A2 = op.B / dt - (1.0 - theta) * op.L
                 A2[op.B.diagonal() == 0.0] = 0.0  # constraint rows hold at the new time exactly
                 A1, A2 = (s[:, None] * A * s.conj() for A in (A1, A2))
                 if np.any(A1.imag) or np.any(A2.imag):
-                    raise NumericError(f"stepper matrices at k={kt} are not real in the frame")
-                P[i] = linalg.lu_solve(linalg.lu_factor(A1.real), A2.real)
+                    raise NumericError(f"stepper matrices at k={kc} are not real in the frame")
+                P[i] = linalg.lu_solve(linalg.lu_factor(A1.real), A2.real).T
             c.propagators[dt, scheme] = P
         return c.propagators[dt, scheme]
 
     def step(self, state: FlattenedState, dt: float,
              scheme: str = "crank-nicolson") -> FlattenedState:
-        """One implicit step, as a new state: one real batched product on the real
-        and imaginary parts of S X, a small dgemm per mode that OpenBLAS keeps on
-        the calling thread.  The k = 0 surface entry is carried unchanged.  A scheme
-        other than "crank-nicolson" or "backward-euler" raises ValueError."""
-        keys, X = state.stack()
-        s = self._phase
-        Y = (X * s).view(float).reshape(X.shape + (2,))
-        Y = (self._propagator(keys, dt, scheme) @ Y).view(complex)[..., 0] * s.conj()
-        mean, eta = self._mode_set(keys).mean, self.layout.eta
-        Y[mean, eta] = X[mean, eta]  # mass: d_t eta_hat(0) = 0
-        Y[mean] = Y[mean].real
-        return state._like(Y, state.t + dt)
+        """One implicit step, as a new state in class slots: one real batched product
+        of the slots with their class propagators, a small dgemm per class that
+        OpenBLAS keeps on the calling thread.  The k = 0 surface entry is carried
+        unchanged and the k = 0 mode kept real.  A scheme other than
+        "crank-nicolson" or "backward-euler" raises ValueError."""
+        P = self._propagator(state.keys, dt, scheme)
+        c = self._mode_set(state.keys)
+        Z = state._class_slots(c)
+        Y = Z @ P
+        Y.reshape(-1)[c.mean_eta] = Z.reshape(-1)[c.mean_eta]  # mass: d_t eta_hat(0) = 0
+        Y.reshape(-1)[c.mean_imag] = 0.0
+        return state._like(None, state.t + dt, (c, Y))
 
     # -- functionals -------------------------------------------------------------
 
     def _mode_set(self, keys: tuple) -> "_ModeSet":
-        """Per-mode constants of the wavevectors `keys`, cached per mode set."""
+        """Per-mode constants of the wavevectors `keys` and their classes, cached per
+        mode set.
+
+        Mode k joins the class (kc, sigma(k)) of `_class_spectrum`, as member r of
+        the class in order of appearance.  Its slot is rows 2r and 2r + 1 of the
+        class in Z (classes, 2 width, dim), which hold the real and imaginary parts
+        of y = S Q^T x, where Q maps kc to k (`eigenmode_data`).  S and Q only move
+        floats and flip signs, so X -> slots -> X is exact.
+        """
         if keys not in self._mode_sets:
-            n = self.dom.n
+            n, lay = self.dom.n, self.layout
+            M, dim = lay.M_v, lay.dim
             k = np.array(keys, dtype=int).reshape(len(keys), n)
             kappa = 2.0 * np.pi * k
             k2 = np.sum(kappa**2, axis=1)
@@ -477,20 +542,50 @@ class Simulator:
                     term = np.prod(np.abs(kappa) ** (2.0 * np.asarray(multi)), axis=1)
                     for order in range(h, 4):
                         hs[order, :order - h + 1] += term
-            # the equilibrium pair: modes of one integer |k|^2 share a class, and
-            # mode i sits at rank[i] among its class in the factors' layout
-            q, cls = np.unique(np.sum(k**2, axis=1), return_inverse=True)
+            # the classes, and the rank of each mode in its class
+            keyed = [(_octant_member(kt), si) for kt, si in zip(keys, sigma)]
+            index = {key: i for i, key in enumerate(dict.fromkeys(keyed))}
+            classes = tuple(index)
+            cls = np.array([index[key] for key in keyed], dtype=int)
             rank = np.array([np.sum(cls[:i] == c) for i, c in enumerate(cls)], dtype=int)
             width = int(rank.max(initial=-1)) + 1
-            kh = kappa / np.sqrt(np.where(mean, 1.0, k2))[:, None]
-            kh[mean, 0] = 1.0  # the identity rotation at k = 0
+            # X[i, j] goes to entry pos[i, j] of Q^T x, negated where k_b < 0 for its
+            # horizontal block b, and -i of S moves its real part to the imaginary row
+            j = np.arange(dim)
+            horizontal = j < n * M
+            swap = (n == 2) & (np.abs(k[:, 0]) < np.abs(k[:, -1]))
+            pos = np.where(horizontal & swap[:, None], j + (1 - 2 * (j // M)) * M, j)
+            negate = horizontal & (k[:, np.minimum(j // M, n - 1)] < 0)
+            part = np.arange(2)
+            row = part ^ horizontal[:, None]  # (dim, 2): the slot row of each part
+            slot = cls * width + rank
+            place = (2 * slot[:, None, None] + row) * dim + pos[:, :, None]
+            sign = (np.where(negate, -1.0, 1.0)[:, :, None]
+                    * np.where(horizontal[:, None] & (part == 0), -1.0, 1.0))
+            # the equilibrium pair: one pair of factors per integer |k|^2, gathered per
+            # class, and the rotation of u_h at kc onto (kappa_hat, its normal)
+            kc = np.array([kt for kt, _ in classes], dtype=int).reshape(len(classes), n)
+            q, qcls = np.unique(np.sum(kc**2, axis=1), return_inverse=True)
+            kappa_c = 2.0 * np.pi * kc
+            k2_c = np.sum(kappa_c**2, axis=1)
+            kh = kappa_c / np.sqrt(np.where(k2_c == 0.0, 1.0, k2_c))[:, None]
+            kh[k2_c == 0.0, 0] = 1.0  # the identity rotation at k = 0
             rotation = kh[:, None] if n == 1 else np.stack([kh, kh[:, ::-1] * [-1, 1]], axis=1)
+
+            def per_row(v):
+                """A per-mode weight on both rows of its slot, zero in empty slots."""
+                out = np.zeros((len(classes) * width, 2))
+                out[slot] = v[:, None]
+                return out.reshape(len(classes), 2 * width)
+
             self._mode_sets[keys] = _ModeSet(
                 kappa=kappa, k2=k2, sigma=sigma, weight=weight, mean=mean, hs=hs,
-                rotation=rotation, slot=cls * width + rank, width=width,
-                factors=self._equilibrium_factors(q),
-                sigma_eta=0.5 * weight * sigma * (1.0 + k2 + k2**2),
-                sigma_top=np.where(mean, 0.0, 0.5 * weight * sigma))
+                classes=classes, width=width, place=place, sign=sign,
+                mean_eta=place[mean, lay.eta, 0], mean_imag=place[mean, :, 1].ravel(),
+                class_factors=tuple(F[qcls] for F in self._equilibrium_factors(q)),
+                rotation=rotation,
+                sigma_eta=per_row(0.5 * weight * sigma * (1.0 + k2 + k2**2)),
+                sigma_top=per_row(np.where(mean, 0.0, 0.5 * weight * sigma)))
         return self._mode_sets[keys]
 
     def _equilibrium_factors(self, q: np.ndarray) -> tuple:
@@ -572,27 +667,25 @@ class Simulator:
         The horizontal-derivative copies of one mode are scalar multiples of
         it, so the sum over spatial multi-indices collapses to the factor
         S_k = 1 + |kappa|^2 + |kappa|^4, leaving the time-derivative copy as
-        the only extra evaluation.  Both forms are sums of squares of the mode
-        set's factors (`_equilibrium_factors`) applied to the rotated real-frame
-        blocks of the stack, gathered by class; the sigma terms of eta and of
-        d_t eta = u_3(top) are added per mode.
+        the only extra evaluation.  Both forms are sums of squares of each
+        class's factors (`_equilibrium_factors`) applied to its slots, u_h
+        turned once per class by the rotation R_kc; the sigma terms of eta and
+        of d_t eta = u_3(top) are added per slot row.
         """
-        keys, X = state.stack()
-        c = self._mode_set(keys)
-        n = self.dom.n
-        u, p, eta = self.layout.blocks(X)
-        uh = -1j * (c.rotation @ u[:, :n])  # S u_h along kappa_hat and its normal
-        blocks = (np.concatenate([uh[:, :1], u[:, n:], p[:, None]], axis=1), uh[:, 1:])
-        E = c.sigma_eta @ np.abs(eta) ** 2 + c.sigma_top @ np.abs(u[:, n, 0]) ** 2
+        c = self._mode_set(state.keys)
+        lay, n = self.layout, self.dom.n
+        Z = state._class_slots(c)
+        u = Z[..., :lay.p.start].reshape(Z.shape[:2] + (n + 1, lay.M_v))
+        uh = c.rotation[:, None] @ u[:, :, :n]
+        blocks = [np.concatenate([uh[:, :, 0], Z[..., lay.u(n).start:lay.p.stop]], axis=-1)]
+        if n == 2:
+            blocks.append(uh[:, :, 1])  # u_perp
+        E = np.sum(c.sigma_eta * Z[..., lay.eta] ** 2) + np.sum(c.sigma_top * u[:, :, n, 0] ** 2)
         Dd = 0.0
-        for F, z in zip(c.factors, blocks):
-            classes, cols = F.shape[:2]
-            z = z.reshape(len(keys), cols)
-            W = np.zeros((classes * c.width, 2, cols))
-            W[c.slot] = np.stack([z.real, z.imag], axis=1)
-            Y = W.reshape(classes, 2 * c.width, cols) @ F
-            E += np.sum(Y[..., :cols] ** 2)
-            Dd += np.sum(Y[..., cols:] ** 2)
+        for F, W in zip(c.class_factors, blocks):
+            Y = (W @ F).reshape(-1, 2, F.shape[1])  # rows of R_E y and R_D y
+            e, d = np.einsum("rfi,rfi->f", Y, Y)
+            E, Dd = E + e, Dd + d
         return float(E), float(Dd)
 
     def _improved_pair(self, state: FlattenedState):

@@ -131,10 +131,26 @@ def mixed_state(s, generic):
     return s.init_pressure(s.admissible_data(seeds))
 
 
+def class_state(s):
+    """A k = 0 mean flow and modes that fill whole lattice-symmetry classes: the four
+    canonical images of (3, 1), where (1, +-3) round |kappa|^2 one ulp apart from
+    (3, +-1); (4, 3) and (3, 4), whose sigma an isotropic density splits by one ulp;
+    and (2, 0) and (0, 2)."""
+    ks = [(3, 1), (3, -1), (1, 3), (1, -3), (4, 3), (3, 4), (2, 0), (0, 2)]
+    seeds = [sim.ModeSeed((0, 0), u=0.2)] + [
+        sim.ModeSeed(k, eta=0.004 * np.exp(0.9j * i) / (1 + i), u=(0.05 - 0.02j) / (1 + i))
+        for i, k in enumerate(ks)]
+    return s.init_pressure(s.admissible_data(seeds))
+
+
 def states():
     s2, s1 = simulator(2), simulator(1)
+    # an anisotropic density gives every wavevector its own sigma, so no class is shared
+    sa = sim.Simulator(dn.anisotropic(C0=[[2.0, 0.3], [0.3, 1.0]]), 1.0, s2.dom)
     return {"n2": (s2, mixed_state(s2, (1, -2))),
             "n1": (s1, mixed_state(s1, (3,))),
+            "classes": (s2, class_state(s2)),
+            "classes-anisotropic": (sa, class_state(sa)),
             "empty": (s2, sim.FlattenedState(s2.dom, {}, 0.0))}
 
 
@@ -196,6 +212,32 @@ def test_alternating_mode_sets(scheme):
         assert_states_close(b, rb, 1e-12)
         assert_functionals_close(s, a, 1e-13)
         assert_functionals_close(s, b, 1e-13)
+
+
+def test_class_states_fill_their_classes():
+    """The class states hold (mean, (3, +-1), (1, +-3), (4, 3), (3, 4), (2, 0) with (0, 2))
+    classes under the isotropic density, and one class per mode under the anisotropic."""
+    s, state = STATES["classes"]
+    assert len(s._mode_set(state.keys).classes) == 6 and s._mode_set(state.keys).width == 2
+    s, state = STATES["classes-anisotropic"]
+    assert len(s._mode_set(state.keys).classes) == len(state.keys) == 9
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_alternating_mode_sets_with_shared_classes(scheme):
+    """The class state and a state of three single-member classes on one simulator,
+    stepped in turn against the per-mode reference."""
+    s, a = STATES["classes"]
+    assert STATES["n2"][0] is s
+    b = STATES["n2"][1]
+    ra, rb = a, b
+    for _ in range(5):
+        a, b = s.step(a, 2e-3, scheme), s.step(b, 2e-3, scheme)
+        ra, rb = ref_step(s, ra, 2e-3, scheme), ref_step(s, rb, 2e-3, scheme)
+        assert_functionals_close(s, a, 1e-13)
+        assert_functionals_close(s, b, 1e-13)
+        assert_states_close(a, ra, 1e-12)
+        assert_states_close(b, rb, 1e-12)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -341,20 +383,36 @@ def phase(op):
     return s
 
 
-FRAME_MODES = {1: [(0,), (3,), (N // 2,)], 2: [(0, 0), (1, -2), (N // 2, 1)]}
+def lattice_map(k, dim):
+    """Q with x(k) = Q x(kc) for kc = (max |k_j|, min |k_j|): the horizontal velocity
+    blocks swapped where |k_1| < |k_2|, then block j negated where k_j < 0."""
+    perm = np.arange(dim)
+    if len(k) == 2 and abs(k[0]) < abs(k[1]):
+        perm[:2 * M_V] = np.roll(perm[:2 * M_V], M_V)
+    signs = np.ones(dim)
+    for j, kj in enumerate(k):
+        signs[j * M_V:(j + 1) * M_V] = -1.0 if kj < 0 else 1.0
+    return signs[:, None] * np.eye(dim)[perm]
+
+
+# (1, -2) and (2, 1) share the class of kc = (2, 1)
+FRAME_MODES = {1: [(0,), (3,), (N // 2,)], 2: [(0, 0), (1, -2), (N // 2, 1), (2, 1)]}
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("n", [1, 2])
 def test_phase_makes_the_implicit_matrices_real(n, scheme):
     """k = 0, a generic k and a Nyquist k: S A S^-1 is exactly real for both
-    implicit matrices, and the cached stack is the complex propagator in that frame."""
+    implicit matrices, and the cached class stack of P^T, carried to each member
+    k = Q kc as Q P Q^T, is the complex propagator in that frame."""
     s = simulator(n)
     keys = tuple(FRAME_MODES[n])
+    classes = s._mode_set(keys).classes
     P = s._propagator(keys, 1e-3, scheme)
     assert P.dtype == np.float64
-    assert P.shape == (len(keys), s.layout.dim, s.layout.dim)
-    for i, k in enumerate(keys):
+    assert P.shape == (len(classes), s.layout.dim, s.layout.dim)
+    assert len(classes) == 3
+    for k in keys:
         op = s.op(k)
         S = phase(op)
         A1, A2 = implicit_matrices(op, 1e-3, scheme)
@@ -362,7 +420,9 @@ def test_phase_makes_the_implicit_matrices_real(n, scheme):
         for A in (A1, A2):
             assert np.all((S[:, None] * A * S.conj()).imag == 0.0)
         ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A1), A2)
-        back = S.conj()[:, None] * P[i] * S
+        Q = lattice_map(k, op.dim)
+        Pc = P[classes.index((tuple(sorted(map(abs, k), reverse=True)), s.sigma(k)))]
+        back = Q @ (S.conj()[:, None] * Pc.T * S) @ Q.T
         assert np.max(np.abs(back - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 

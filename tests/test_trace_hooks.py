@@ -94,6 +94,25 @@ def test_eigenmode_seeds_solve_once_per_class(tracing):
         tracer.uninstall()
 
 
+def test_first_step_factors_once_per_class(tracing):
+    # the first step on the 40 `stepping` wavevectors factors one propagator per
+    # (octant member, sigma) class, the 16 classes of the eigenmode seeds above
+    dom = FlattenedDomain(b=1.0, horizontal=TorusGrid(2, 32), M_v=24)
+    s = sim.Simulator(dn.combo(-1.0, 0.042), -1.0, dom)
+    state = sim.FlattenedState(dom, {k: np.zeros(s.layout.dim, dtype=complex)
+                                     for k in conjugacy_representatives(4, 2)})
+    tracer = tracing.Tracer((RuntimeError, ValueError))
+    try:
+        tracing.wrap_slabflow(tracer)
+        s.step(state, 1e-3)
+        assert tracer.sample_counts("simulate.step") == 1
+        assert tracer.sample_counts("simulate.stepper_factor") == 16
+        assert {tracer.parent_name(span) for span in tracer.spans
+                if span[0] == "simulate.stepper_factor"} == {"simulate.step"}
+    finally:
+        tracer.uninstall()
+
+
 def test_mode_sweep_solves_once_per_mirror_class(tracing):
     # kmax 2 has 13 rows; (a, b) and (a, -b) share a solve when their sigma floats
     # agree, as an isotropic density's do, so 9 mirror classes remain
