@@ -220,6 +220,9 @@ def cmd_simulate(cfg: RunConfig, out: str) -> int:
         print(f"warning: configuration is not elliptic (min ratio {ell.min_ratio:.3e}); "
               "simulation may grow", file=sys.stderr)
     if cfg.eigenmode is not None:
+        if cfg.modes:
+            print("warning: initial_data.eigenmode takes precedence; initial_data.modes is "
+                  "not simulated", file=sys.stderr)
         try:
             state = simulator.eigenmode_data(cfg.eigenmode["k"], cfg.eigenmode["amplitude"],
                                              cfg.eigenmode["index"])

@@ -6,15 +6,17 @@ excited wavevector; the -k content is implied by reality).  Steps are
 implicit (Crank-Nicolson by default, backward Euler optionally): each mode
 set caches one one-step propagator per lattice-symmetry class of its modes,
 real in the frame u_h -> -i u_h, and a stepped state holds its modes in
-class slots, so one real batched product advances every mode and the
-E_eq/D_eq pair reads the slots; the other functionals are batched over the
-state's stack.
+class slots, so one real batched product advances every mode.  The
+equilibrium and improved pairs are quadratic forms of each mode, applied to
+the slots through real triangular factors built once per class; the
+geometric pair is batched over the state's stack.
 
 Functionals follow three conventions:
   * equilibrium (E_eq, D_eq): quadratic forms of the unknowns and their
     derivatives up to parabolic order two (identity, d_t, horizontal
     first and second derivatives);
-  * improved (E_imp, D_imp): Sobolev norms of the unknowns;
+  * improved (E_imp, D_imp): Sobolev norms of the unknowns, the bulk terms
+    summing every derivative multi-index up to the order once;
   * geometric (E_geo, D_geo): the same sums with volume weight J(eta),
     A-symmetrized gradients, the full surface energy W(eta) in place of
     its quadratic approximation, and Q_eta in the derivative copies.
@@ -84,7 +86,8 @@ class FlattenedState:
     holds its modes in the class slots of the mode set that stepped it instead
     (`_ModeSet.slots`), and builds X from them when X, `modes` or `stack()` is
     first read; that read drops the slots, so a write through X or `modes` is the
-    state from then on.
+    state from then on.  `step` and the equilibrium and improved pairs read the slots
+    without that read; the geometric pair and the diagnostics read X.
     """
 
     def __init__(self, dom: FlattenedDomain, modes: dict, t: float = 0.0):
@@ -196,7 +199,8 @@ class EnergyTrace:
             getattr(self, name).append(value)
 
     def ed_relative_residual(self) -> float:
-        """max |r_n| normalized by the largest midpoint dissipation."""
+        """max |r_n| normalized by the largest half-step dissipation D_half, the
+        trapezoid mean (D_eq(t_n) + D_eq(t_n+1)) / 2 of the node values."""
         if not self.ed_residual:
             raise ValueError("no ED residual series: a run with record_ed=False records none")
         return float(max(abs(r) for r in self.ed_residual) / (max(self.ed_dissipation) or 1.0))
@@ -276,14 +280,10 @@ def _octant_member(kt: tuple) -> tuple:
 @dataclass(frozen=True)
 class _ModeSet:
     """Per-mode constants of one mode set, in the order of its stack, its lattice-symmetry
-    classes (kc, sigma) and their propagators."""
+    classes (kc, sigma) and their propagators and form factors."""
 
     kappa: np.ndarray   # 2 pi k, (modes, n)
-    k2: np.ndarray      # |kappa|^2
-    sigma: np.ndarray   # sigma(k)
-    weight: np.ndarray  # 1 at k = 0, 2 for a conjugate pair
     mean: np.ndarray    # k = 0
-    hs: np.ndarray      # (4, 4, modes), see Simulator._mode_set
     # The class slots Z (classes, 2 width, dim), see Simulator._mode_set: the real and
     # imaginary rows of y = S Q^T x for each member x of a class, in kc's real frame.
     classes: tuple        # (kc, sigma) of each class
@@ -292,13 +292,13 @@ class _ModeSet:
     sign: np.ndarray      # (modes, dim, 2): +-1, the sign it takes there
     mean_eta: np.ndarray  # slots of Re eta at k = 0, carried by a step
     mean_imag: np.ndarray  # slots of Im x at k = 0, zeroed by a step
-    # The equilibrium pair, see Simulator._equilibrium_factors: the factors of each
-    # class's integer |k|^2, its rotation of u_h onto (kappa_hat, its normal), and
-    # the weights of the sigma terms on eta^2 and u_3(top)^2 in each slot row.
-    class_factors: tuple  # longitudinal and, for n = 2, transverse [R_E^T | R_D^T]
+    # The two form pairs (E, D) on the slots, u_h at kc turned by each class's rotation
+    # onto (kappa_hat, its normal): the factors [R_E^T | R_D^T] (classes, cols, 2 cols) of
+    # each block (Simulator._form_factors), and per form the weights (2, classes, 2 width)
+    # of eta^2 and u_3(top)^2 in each slot row, or None.
     rotation: np.ndarray  # (classes, n, n)
-    sigma_eta: np.ndarray  # (classes, 2 width)
-    sigma_top: np.ndarray
+    equilibrium: tuple    # (factors, (E weights, None))
+    improved: tuple       # (factors, (E weights, D weights))
     propagators: dict = field(default_factory=dict)  # (dt, scheme) -> Simulator._propagator
 
     def slots(self, X: np.ndarray) -> np.ndarray:
@@ -314,9 +314,9 @@ class _ModeSet:
 
     @property
     def factors(self) -> tuple:
-        """The factors of each distinct integer |k|^2, in increasing order."""
+        """The equilibrium factors of each distinct integer |k|^2, in increasing order."""
         q = [sum(c * c for c in kc) for kc, _ in self.classes]
-        return tuple(F[np.unique(q, return_index=True)[1]] for F in self.class_factors)
+        return tuple(F[np.unique(q, return_index=True)[1]] for F in self.equilibrium[0])
 
 
 class Simulator:
@@ -533,15 +533,6 @@ class Simulator:
             mean = ~np.any(kappa, axis=1)
             sigma = np.array([self.sigma(kt) for kt in keys])
             weight = np.where(mean, 1.0, 2.0)
-            # hs[s, d]: weight of the d-th vertical derivative in the H^s norm, the
-            # sum of prod |kappa_i|^(2 m_i) over horizontal orders with |m| <= s - d
-            hs = np.zeros((4, 4, len(keys)))
-            for multi in product(range(4), repeat=n):
-                h = sum(multi)
-                if h <= 3:
-                    term = np.prod(np.abs(kappa) ** (2.0 * np.asarray(multi)), axis=1)
-                    for order in range(h, 4):
-                        hs[order, :order - h + 1] += term
             # the classes, and the rank of each mode in its class
             keyed = [(_octant_member(kt), si) for kt, si in zip(keys, sigma)]
             index = {key: i for i, key in enumerate(dict.fromkeys(keyed))}
@@ -562,78 +553,112 @@ class Simulator:
             place = (2 * slot[:, None, None] + row) * dim + pos[:, :, None]
             sign = (np.where(negate, -1.0, 1.0)[:, :, None]
                     * np.where(horizontal[:, None] & (part == 0), -1.0, 1.0))
-            # the equilibrium pair: one pair of factors per integer |k|^2, gathered per
-            # class, and the rotation of u_h at kc onto (kappa_hat, its normal)
+            # the rotation of u_h at kc onto (kappa_hat, its normal)
             kc = np.array([kt for kt, _ in classes], dtype=int).reshape(len(classes), n)
-            q, qcls = np.unique(np.sum(kc**2, axis=1), return_inverse=True)
             kappa_c = 2.0 * np.pi * kc
             k2_c = np.sum(kappa_c**2, axis=1)
             kh = kappa_c / np.sqrt(np.where(k2_c == 0.0, 1.0, k2_c))[:, None]
             kh[k2_c == 0.0, 0] = 1.0  # the identity rotation at k = 0
             rotation = kh[:, None] if n == 1 else np.stack([kh, kh[:, ::-1] * [-1, 1]], axis=1)
 
-            def per_row(v):
-                """A per-mode weight on both rows of its slot, zero in empty slots."""
-                out = np.zeros((len(classes) * width, 2))
-                out[slot] = v[:, None]
-                return out.reshape(len(classes), 2 * width)
+            def per_row(*v):
+                """Per-mode weights on both rows of their slot, zero in empty slots."""
+                out = np.zeros((len(v), len(classes) * width, 2))
+                out[:, slot] = np.array(v)[..., None]
+                return out.reshape(len(v), len(classes), 2 * width)
 
+            # the surface terms: sigma |eta|^2 and sigma |d_t eta|^2 in E_eq, and the
+            # bracket powers of |eta|^2 and |d_t eta|^2 in E_imp and D_imp, d_t eta = u_3(top)
+            top = np.where(mean, 0.0, weight)
+            bracket = 1.0 + k2
+            equilibrium, improved = self._form_factors(kc)
             self._mode_sets[keys] = _ModeSet(
-                kappa=kappa, k2=k2, sigma=sigma, weight=weight, mean=mean, hs=hs,
-                classes=classes, width=width, place=place, sign=sign,
+                kappa=kappa, mean=mean, classes=classes, width=width, place=place, sign=sign,
                 mean_eta=place[mean, lay.eta, 0], mean_imag=place[mean, :, 1].ravel(),
-                class_factors=tuple(F[qcls] for F in self._equilibrium_factors(q)),
                 rotation=rotation,
-                sigma_eta=per_row(0.5 * weight * sigma * (1.0 + k2 + k2**2)),
-                sigma_top=per_row(np.where(mean, 0.0, 0.5 * weight * sigma)))
+                equilibrium=(equilibrium, (per_row(0.5 * weight * sigma * (1.0 + k2 + k2**2),
+                                                   0.5 * top * sigma), None)),
+                improved=(improved, (per_row(weight * bracket**4.5, top * bracket**2),
+                                     per_row(weight * bracket**5.5, top * bracket**2.5))))
         return self._mode_sets[keys]
 
-    def _equilibrium_factors(self, q: np.ndarray) -> tuple:
-        """Real triangular factors of E_eq and D_eq without their sigma terms, one per
-        distinct integer |k|^2 in q: a stack (classes, cols, 2 cols) of [R_E^T | R_D^T]
-        for the longitudinal block (u_par, u_3, p) and, for n = 2, one for the
-        transverse block u_perp.
+    def _form_factors(self, kc: np.ndarray) -> tuple:
+        """Real triangular factors of the equilibrium and the improved forms without their
+        surface terms, for the classes of octant members kc (classes, n): per pair, a stack
+        (classes, cols, 2 cols) of [R_E^T | R_D^T] for the longitudinal block (u_par, u_3,
+        p) and, for n = 2, one for the transverse block u_perp.
 
-        In the real frame y = S x with u_h rotated onto (kappa_hat, its normal), both
-        forms depend on k only through |k|^2 and the two blocks decouple, so they are
-        built at kappa = (|kappa|, 0).  Each form is the sum of |row . y|^2 over the
-        rows sqrt(w f w3 / 2) times the velocities (E_eq) or their symmetric gradient
-        (D_eq) of the state (f = 1 + |kappa|^2 + |kappa|^4) and of its time derivative,
-        the momentum trace (f = 1).  Every row is real or imaginary in this frame
-        (checked), so the sum of each row's real and imaginary parts, one of them zero,
-        is a real map A with the same form, and Householder QR gives R with
-        R^T R = A^T A without forming A^T A, which would square its conditioning.
-        eta enters neither factor.
+        In the real frame y = S x with u_h rotated onto (kappa_hat, its normal) the blocks
+        decouple, so the forms are built at kappa = (|kappa|, 0), each the sum of
+        |row . y|^2 over rows on the state and on its time derivative, the momentum
+        trace, with w = 1 at k = 0 and 2 for a conjugate pair:
+          * E_eq, D_eq: sqrt(w f w3 / 2) times the velocities (E) or their symmetric
+            gradient (D), f = 1 + |kappa|^2 + |kappa|^4 on the state and 1 on d_t u;
+            classes of one integer |k|^2 share them.
+          * E_imp, D_imp: sqrt(w h_(s-d) w3) D^d, d <= s, on u (s = 2 in E, 3 in D), d_t u
+            (s = 0, 1) and p (s = 1, 2), h_r summing prod kappa_i^(2 m_i) at kc over the
+            horizontal multi-indices |m| <= r; and for D_imp,
+            sqrt(w (1 + |kappa|^2)^0.5) d_t u_3(top) = d_t^2 eta.
+        Every row is real or imaginary in this frame (checked), so real plus imaginary
+        part is a real map A with the same form, and Householder QR gives R with
+        R^T R = A^T A without forming A^T A, which would square its conditioning.  eta
+        enters no factor.
         """
         linalg = _scipy_linalg()
         dom, lay = self.dom, self.layout
-        n, D = dom.n, dom.D3
+        n, D, w3, M = dom.n, dom.D3, dom.w3, dom.M_v
+        powers = [np.linalg.matrix_power(D, d) for d in range(4)]
         blocks = [np.r_[lay.u(0), lay.u(n).start:lay.p.stop]] + [np.r_[lay.u(1)]] * (n == 2)
-        factors = [np.empty((len(q), c.size, 2 * c.size)) for c in blocks]
+        factors = [[np.empty((len(kc), c.size, 2 * c.size)) for c in blocks] for _ in range(2)]
         basis = np.diag(self._phase.conj())  # x = S^-1 y of each unit vector y
-        for i, qi in enumerate(q):
+        _, first, qcls = np.unique(np.sum(kc**2, axis=1), return_index=True, return_inverse=True)
+        m = np.array([m for m in product(range(4), repeat=n) if sum(m) <= 3]).reshape(-1, n)
+        terms = np.prod((2.0 * np.pi * kc[:, None]) ** (2.0 * m), axis=-1)
+        h = np.stack([terms[:, m.sum(axis=1) <= r].sum(axis=1) for r in range(4)], axis=1)
+
+        def real(rows):
+            """Real plus imaginary part of rows that are each real or imaginary, (-1, dim)."""
+            if np.any(rows.real * rows.imag):
+                raise NumericError(f"modal forms at k={tuple(kci)} are not real in the frame")
+            return (rows.real + rows.imag).reshape(-1, lay.dim)
+
+        for i, kci in enumerate(kc):
+            qi = int(kci @ kci)
             kappa = np.zeros((lay.dim, n))
             kappa[:, 0] = 2.0 * np.pi * np.sqrt(qi)
-            k2 = kappa[0, 0] ** 2
+            k2, w = kappa[0, 0] ** 2, 2.0 if qi else 1.0
             # velocities of the state and of its time derivative, (copy, j, node, column)
             X = np.stack([basis, time_derivative_trace(basis, kappa, D)]).swapaxes(1, 2)
-            u = X[:, :lay.p.start].reshape(2, n + 1, dom.M_v, lay.dim)
-            # G[:, i, j] = d_i u_j: i < n horizontal, i = n vertical
-            G = np.concatenate([1j * kappa[0, :, None, None, None] * u[:, None],
-                                (D @ u)[:, None]], axis=1)
-            # sqrt(w f w3 / 2) by (copy, node)
-            scale = np.sqrt(0.5 * (2.0 if qi else 1.0) * dom.w3
-                            * np.array([1.0 + k2 + k2**2, 1.0])[:, None])[:, None, :, None]
-            for f, rows in enumerate((scale * u, scale[:, None] * (G + np.swapaxes(G, 1, 2)))):
-                if np.any(rows.real * rows.imag):
-                    raise NumericError(f"equilibrium forms at |k|^2={qi} are not real in the frame")
-                A = (rows.real + rows.imag).reshape(-1, lay.dim)
+            u = X[:, :lay.p.start].reshape(2, n + 1, M, lay.dim)
+            forms = []
+            if first[qcls[i]] == i:
+                # G[:, i, j] = d_i u_j: i < n horizontal, i = n vertical
+                G = np.concatenate([1j * kappa[0, :, None, None, None] * u[:, None],
+                                    (D @ u)[:, None]], axis=1)
+                # sqrt(w f w3 / 2) by (copy, node)
+                scale = np.sqrt(0.5 * w * w3
+                                * np.array([1.0 + k2 + k2**2, 1.0])[:, None])[:, None, :, None]
+                forms = [(0, 0, real(scale * u)),
+                         (0, 1, real(scale[:, None] * (G + np.swapaxes(G, 1, 2))))]
+            # V[s]^T V[s] = sum over d <= s of w h_(s-d) (D^d)^T W3 D^d
+            V = [np.triu(linalg.lapack.dgeqrf(np.concatenate(
+                [np.sqrt(w * h[i, s - d] * w3)[:, None] * powers[d] for d in range(s + 1)]))[0][:M])
+                for s in range(4)]
+            # velocities and pressure of both copies, (copy, j, node, column)
+            y = real(X).reshape(X.shape)[:, :lay.p.stop].reshape(2, n + 2, M, lay.dim)
+            for f in range(2):
+                rows = np.concatenate([V[2 + f] @ y[0, :-1], V[f] @ y[1, :-1],
+                                       V[1 + f] @ y[0, -1:]])
+                forms.append((1, f, np.concatenate([rows.reshape(-1, lay.dim)] + [
+                    np.sqrt(w * (1.0 + k2) ** 0.5) * y[1, n, :1]] * f)))  # d_t^2 eta in D_imp
+            for pair, f, A in forms:
                 for b, cols in enumerate(blocks):
                     # Householder QR of the rows in their natural order: sorting them by
                     # norm or dropping the zero ones left D_eq 10-100 times less accurate
                     R = linalg.lapack.dgeqrf(A[:, cols])[0]
-                    factors[b][i, :, f * cols.size:(f + 1) * cols.size] = np.triu(R[:cols.size]).T
-        return tuple(factors)
+                    factors[pair][b][i, :, f * cols.size:(f + 1) * cols.size] = \
+                        np.triu(R[:cols.size]).T
+        return tuple(F[first[qcls]] for F in factors[0]), tuple(factors[1])
 
     def _alpha_set(self):
         """Distinct multi-indices of parabolic order <= 2 with their multiplicity:
@@ -650,29 +675,13 @@ class Simulator:
         out += [(0, e(i, j), 1 if i == j else 2) for i in range(n) for j in range(i, n)]
         return out
 
-    def _profiles(self, state: FlattenedState):
-        """The constants of the state's mode set, and the blocks of its stack and
-        of its time derivative: the evolution equations traced on the state (the
-        construction used for initial data), with the surface average frozen.
-        Velocities are (modes, n+1, M_v), pressures (modes, M_v)."""
-        keys, X = state.stack()
-        c = self._mode_set(keys)
-        u, p, eta = self.layout.blocks(X)
-        du, _, deta = self.layout.blocks(time_derivative_trace(X, c.kappa, self.dom.D3))
-        return c, u, du, p, eta, np.where(c.mean, 0.0, deta)
-
-    def _equilibrium_pair(self, state: FlattenedState):
-        """E_eq and D_eq: parabolic-order-two sums of the equilibrium forms.
-
-        The horizontal-derivative copies of one mode are scalar multiples of
-        it, so the sum over spatial multi-indices collapses to the factor
-        S_k = 1 + |kappa|^2 + |kappa|^4, leaving the time-derivative copy as
-        the only extra evaluation.  Both forms are sums of squares of each
-        class's factors (`_equilibrium_factors`) applied to its slots, u_h
-        turned once per class by the rotation R_kc; the sigma terms of eta and
-        of d_t eta = u_3(top) are added per slot row.
-        """
+    def _form_pair(self, state: FlattenedState, name: str):
+        """The form pair `name` of the state's mode set (`_ModeSet.equilibrium` or
+        `.improved`) on its class slots: the sums of squares of each class's factors
+        applied to its slots, u_h turned once per class by the rotation R_kc, plus the
+        surface terms of eta and of d_t eta = u_3(top), added per slot row."""
         c = self._mode_set(state.keys)
+        factors, surface = getattr(c, name)
         lay, n = self.layout, self.dom.n
         Z = state._class_slots(c)
         u = Z[..., :lay.p.start].reshape(Z.shape[:2] + (n + 1, lay.M_v))
@@ -680,45 +689,24 @@ class Simulator:
         blocks = [np.concatenate([uh[:, :, 0], Z[..., lay.u(n).start:lay.p.stop]], axis=-1)]
         if n == 2:
             blocks.append(uh[:, :, 1])  # u_perp
-        E = np.sum(c.sigma_eta * Z[..., lay.eta] ** 2) + np.sum(c.sigma_top * u[:, :, n, 0] ** 2)
-        Dd = 0.0
-        for F, W in zip(c.class_factors, blocks):
+        eta, top = Z[..., lay.eta] ** 2, u[:, :, n, 0] ** 2
+        E, Dd = (0.0 if w is None else np.sum(w[0] * eta) + np.sum(w[1] * top)
+                 for w in surface)
+        for F, W in zip(factors, blocks):
             Y = (W @ F).reshape(-1, 2, F.shape[1])  # rows of R_E y and R_D y
             e, d = np.einsum("rfi,rfi->f", Y, Y)
             E, Dd = E + e, Dd + d
         return float(E), float(Dd)
 
+    def _equilibrium_pair(self, state: FlattenedState):
+        """E_eq and D_eq: parabolic-order-two sums of the equilibrium forms, the
+        horizontal-derivative copies of a mode collapsing to the factor
+        1 + |kappa|^2 + |kappa|^4 (`_form_factors`)."""
+        return self._form_pair(state, "equilibrium")
+
     def _improved_pair(self, state: FlattenedState):
-        """E_imp and D_imp: the Sobolev-norm versions."""
-        n, w3, D = self.dom.n, self.dom.w3, self.dom.D3
-        c, u, du, p, eta, deta = self._profiles(state)
-
-        def vertical_norms(f, s):
-            """sum over components of w3 |D^d f|^2 for d = 0 .. s, shape (s+1, modes)."""
-            out = []
-            for _ in range(s + 1):
-                out.append((np.abs(f) ** 2 @ w3).sum(axis=-1))
-                f = f @ D.T
-            return np.array(out)
-
-        def hs_sq(norms, s):
-            return np.sum(c.hs[s, :s + 1] * norms[:s + 1], axis=0)
-
-        Nu, Ndu, Np = vertical_norms(u, 3), vertical_norms(du, 1), vertical_norms(p[:, None], 2)
-        bracket = 1.0 + c.k2
-        ddeta = du[:, n, 0]  # d_t^2 eta = d_t u3 at the top
-        E = c.weight * (
-            hs_sq(Nu, 2) + hs_sq(Ndu, 0) + hs_sq(Np, 1)
-            + bracket**4.5 * np.abs(eta) ** 2
-            + bracket**2 * np.abs(deta) ** 2
-        )
-        Dd = c.weight * (
-            hs_sq(Nu, 3) + hs_sq(Ndu, 1) + hs_sq(Np, 2)
-            + bracket**5.5 * np.abs(eta) ** 2
-            + bracket**2.5 * np.abs(deta) ** 2
-            + bracket**0.5 * np.abs(ddeta) ** 2
-        )
-        return float(np.sum(E)), float(np.sum(Dd))
+        """E_imp and D_imp: the Sobolev-norm versions (`_form_factors`)."""
+        return self._form_pair(state, "improved")
 
     def _geometric_pair(self, state: FlattenedState):
         """E_geo and D_geo: J-weighted, A-symmetrized, full surface energy.
@@ -743,8 +731,13 @@ class Simulator:
         na = len(alphas)
 
         # content of all copies per mode: factors (modes, na) on the profiles of u or d_t u
-        keys = state.keys
-        c, u, du, _, eta_h, deta = self._profiles(state)
+        # the blocks of the stack and of its time derivative, the evolution equations
+        # traced on the state with the surface average frozen: (modes, n+1, M_v) velocities
+        keys, X = state.stack()
+        c = self._mode_set(keys)
+        u, _, eta_h = self.layout.blocks(X)
+        du, _, deta = self.layout.blocks(time_derivative_trace(X, c.kappa, dom.D3))
+        deta = np.where(c.mean, 0.0, deta)
         factors = np.stack([np.sqrt(w) * np.prod((1j * c.kappa) ** np.asarray(ah, dtype=float),
                                                  axis=1) for _, ah, w in alphas], axis=1)
         timed = np.array([at == 1 for at, _, _ in alphas])

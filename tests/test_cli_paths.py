@@ -1,6 +1,7 @@
 """Command-line paths on the shipped configs: the figure-forces grid guard,
-the --seed override, a degenerate flattening map, the not-elliptic warning
-and an odd-sized vertical grid."""
+the --seed override, a degenerate flattening map, the not-elliptic warning,
+the warning that an eigenmode seed overrides `initial_data.modes`, and an
+odd-sized vertical grid."""
 
 import json
 from pathlib import Path
@@ -66,6 +67,26 @@ def test_simulate_warns_when_not_elliptic(tmp_path, capsys):
     path = config_copy(tmp_path, "combo_stable", below_threshold)
     assert main(["--config", path, "--out", str(tmp_path / "out"), "simulate"]) == 0
     assert "warning: configuration is not elliptic (min ratio -" in capsys.readouterr().err
+
+
+def test_simulate_warns_that_the_eigenmode_overrides_the_modes(tmp_path, capsys):
+    def short(cfg):
+        cfg["time"]["horizon"] = 0.02
+
+    def with_modes(cfg):
+        short(cfg)
+        cfg["initial_data"]["modes"] = [{"k": [2, 1], "eta": 1e-4, "u": 5e-5}]
+
+    only = config_copy(tmp_path, "combo_stable", short, "only.json")
+    both = config_copy(tmp_path, "combo_stable", with_modes, "both.json")
+    assert "eigenmode" in json.loads((CONFIGS / "combo_stable.json").read_text())["initial_data"]
+    assert main(["--config", only, "--out", str(tmp_path / "only"), "simulate"]) == 0
+    assert "warning:" not in capsys.readouterr().err
+    assert main(["--config", both, "--out", str(tmp_path / "both"), "simulate"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and "initial_data.modes" in err
+    assert ((tmp_path / "both" / "trace.csv").read_bytes()
+            == (tmp_path / "only" / "trace.csv").read_bytes())
 
 
 @pytest.mark.parametrize("command", ["geometry-check", "variations"])

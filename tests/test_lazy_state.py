@@ -1,9 +1,9 @@
 """A stepped state keeps its modes in the class slots of the mode set that stepped it
 and builds its stack X only when X, `modes` or `stack()` is read.
 
-Whether or not that read happens, the next step and the E_eq/D_eq pair see the same
-bits; a write after the read is the state from then on; and slots never cross from
-one simulator to another.
+Whether or not that read happens, the next step and the E_eq/D_eq and E_imp/D_imp
+pairs see the same bits, and neither pair makes the read; a write after the read is
+the state from then on; and slots never cross from one simulator to another.
 """
 
 import numpy as np
@@ -54,9 +54,11 @@ def test_reading_x_changes_no_bit(n, scheme):
     read, unread = s.step(state, 1e-3, scheme), s.step(state, 1e-3, scheme)
     read.X
     assert s._equilibrium_pair(read) == s._equilibrium_pair(unread)
+    assert s._improved_pair(read) == s._improved_pair(unread)
     for _ in range(3):
         read, unread = s.step(read, 1e-3, scheme), s.step(unread, 1e-3, scheme)
         assert s._equilibrium_pair(read) == s._equilibrium_pair(unread)
+        assert s._improved_pair(read) == s._improved_pair(unread)
         read.stack()
     same_bits(read, unread)
     # the stepped state is the same whether it went through slots or a dict
@@ -88,6 +90,7 @@ def test_writes_after_a_read_are_honoured(n, scheme):
     ref = fresh(state)
     same_bits(s.step(state, 1e-3, scheme), s.step(ref, 1e-3, scheme))
     assert s._equilibrium_pair(state) == s._equilibrium_pair(ref)
+    assert s._improved_pair(state) == s._improved_pair(ref)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -97,9 +100,12 @@ def test_another_simulator_never_uses_the_slots(n, scheme):
     other = sim.Simulator(dn.area(2.0), 1.0, s.dom)
     a, b = s.step(random_state(s), 1e-3, scheme), s.step(random_state(s), 1e-3, scheme)
     stepped, pair = other.step(a, 1e-3, scheme), other._equilibrium_pair(b)
+    c = s.step(random_state(s), 1e-3, scheme)
+    improved = other._improved_pair(c)
     assert stepped.X.tobytes() != s.step(fresh(a), 1e-3, scheme).X.tobytes()
     same_bits(stepped, other.step(fresh(a), 1e-3, scheme))
     assert pair == other._equilibrium_pair(fresh(b))
+    assert improved == other._improved_pair(fresh(c))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -110,4 +116,17 @@ def test_empty_state_steps_and_pairs_to_zero(n, scheme):
     for _ in range(2):
         state = s.step(state, 1e-3, scheme)
         assert s._equilibrium_pair(state) == (0.0, 0.0)
+        assert s._improved_pair(state) == (0.0, 0.0)
     assert state.X.shape == (0, s.layout.dim) and state.modes == {}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("n", [1, 2])
+def test_pairs_leave_an_unread_state_in_its_slots(n, scheme):
+    s = simulator(n)
+    state = s.step(random_state(s), 1e-3, scheme)
+    slots = state._slots
+    assert slots is not None
+    s._equilibrium_pair(state)
+    s._improved_pair(state)
+    assert state._slots is slots
